@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SolverConfig, compute_pressure
-from .spectral import SpectralVectorField, coeffs_to_grid, vorticity
+from .spectral import (
+    SpectralVectorField,
+    coeffs_to_grid,
+    velocity_gradient_grid,
+    vorticity,
+)
 
 TAIL_FRACTION_THRESHOLD = 1e-6
 
@@ -92,19 +97,9 @@ def enstrophy_production(u: SpectralVectorField) -> float:
     lat = u.lattice
     if lat.n == 2:
         return 0.0
-    grids = lat.mode_grids
-    n = lat.n
-    batch = np.empty((n + n * n,) + lat.shape, dtype=np.complex128)
-    batch[:n] = vorticity(u).coeffs
-    pos = n
-    for i in range(n):
-        for j in range(n):
-            batch[pos] = 1j * grids[i] * u.coeffs[j]  # d_i u_j
-            pos += 1
-    phys = coeffs_to_grid(batch, n)
-    w = phys[:n]
-    du = phys[n:].reshape((n, n) + lat.shape)
-    integrand = np.einsum("i...,ij...,j...->...", w, du, w)
+    w, grad = velocity_gradient_grid(lat, u.coeffs, lead=vorticity(u).coeffs)
+    # omega_i omega_j is symmetric, so the orientation of grad does not matter
+    integrand = np.einsum("i...,ij...,j...->...", w, grad, w)
     return lat.cell_volume * float(np.sum(integrand))
 
 

@@ -22,6 +22,7 @@ from .spectral import (
     dealias_coeffs,
     grid_to_coeffs,
     leray_project_coeffs,
+    velocity_gradient_grid,
 )
 
 
@@ -101,18 +102,8 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray, *,
     back, dealiased, projected and mean-zeroed.
     """
     n = lattice.n
-    grids = lattice.mode_grids
-    batch = np.empty((n + n * n,) + lattice.shape, dtype=np.complex128)
-    batch[:n] = coeffs
-    pos = n
-    for i in range(n):
-        for j in range(n):
-            batch[pos] = 1j * grids[j] * coeffs[i]
-            pos += 1
-    phys = coeffs_to_grid(batch, n)
-    vel = phys[:n]
-    deriv = phys[n:].reshape((n, n) + lattice.shape)  # deriv[i, j] = d_j u_i
-    conv = np.einsum("j...,ij...->i...", vel, deriv)
+    vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs)
+    conv = np.einsum("j...,ij...->i...", vel, deriv)  # deriv[i, j] = d_j u_i
     out = grid_to_coeffs(conv, n)
     if dealias:
         out = dealias_coeffs(lattice, out)
@@ -132,21 +123,10 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
     and dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0.
     """
     lat = u.lattice
-    n = lat.n
-    grids = lat.mode_grids
-    batch = np.empty((n * n,) + lat.shape, dtype=np.complex128)
-    pos = 0
-    for i in range(n):
-        for j in range(n):
-            batch[pos] = 1j * grids[i] * u.coeffs[j]  # d_i u_j
-            pos += 1
-    dphys = coeffs_to_grid(batch, n).reshape((n, n) + lat.shape)
-    trace = np.einsum("ij...,ji...->...", dphys, dphys)
-    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, n))
-    inv_ksq = np.zeros(lat.shape)
-    nonzero = lat.ksq_array > 0
-    inv_ksq[nonzero] = 1.0 / lat.ksq_array[nonzero]
-    return g_hat * inv_ksq
+    _, grad = velocity_gradient_grid(lat, u.coeffs)
+    trace = np.einsum("ij...,ji...->...", grad, grad)
+    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n))
+    return g_hat * lat.inv_ksq_array
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs) -> np.ndarray:

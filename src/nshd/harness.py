@@ -160,7 +160,10 @@ def run_experiment(config_path, out_dir) -> RunRecord:
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("NSHD_THREADS")
     if env is not None:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ConfigError("NSHD_THREADS", f"must be an integer, got {env!r}") from None
     else:
         cap = os.cpu_count() or 1
     return max(1, min(n_tasks, cap))
@@ -174,6 +177,7 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
     if not alphas:
         raise ConfigError("alphas", "need at least one alpha")
     alphas = sorted(alphas)
+    workers = _worker_count(len(alphas))
     _prepare_out_dir(out_dir)
 
     base_orders = set(config.solver.moment_orders)
@@ -189,7 +193,6 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
         record = run_config(sub, sub_dir)
         return record, _read_row_metrics(record, sub)
 
-    workers = _worker_count(len(alphas))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, alphas))

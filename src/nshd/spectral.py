@@ -46,6 +46,7 @@ class WavenumberLattice:
     modes_1d: np.ndarray = field(init=False, repr=False, compare=False)
     kmod_array: np.ndarray = field(init=False, repr=False, compare=False)
     ksq_array: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_ksq_array: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,8 +64,11 @@ class WavenumberLattice:
         for g in grids:
             mask &= np.abs(g) < cut
         object.__setattr__(self, "modes_1d", modes)
-        object.__setattr__(self, "ksq_array", np.broadcast_to(ksq, self.shape).copy())
-        object.__setattr__(self, "kmod_array", np.sqrt(self.ksq_array))
+        ksq = np.broadcast_to(ksq, self.shape).copy()
+        inv_ksq = np.divide(1.0, ksq, out=np.zeros(self.shape), where=ksq > 0)
+        object.__setattr__(self, "ksq_array", ksq)
+        object.__setattr__(self, "inv_ksq_array", inv_ksq)
+        object.__setattr__(self, "kmod_array", np.sqrt(ksq))
         object.__setattr__(self, "dealias_mask_array", mask)
 
     def mode_grids_from(self, modes):
@@ -178,9 +182,41 @@ def grid_to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def coeffs_to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Inverse transform to real grid samples over the trailing n axes."""
+    """Inverse transform to real grid samples over the trailing n axes.
+
+    A complex-to-real transform: the coefficients must be Hermitian,
+    c(-k) = conj(c(k)), and only the k_n >= 0 half of the last axis,
+    `coeffs[..., :N//2 + 1]`, is read.  The full spectrum and that half
+    therefore give identical output.  N is read from the second-to-last
+    axis, which is never halved.
+    """
+    N = coeffs.shape[-2]
     axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
-    return _fft.ifftn(coeffs, axes=axes, norm="forward").real
+    return _fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
+                       norm="forward")
+
+
+def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
+                           lead: np.ndarray | None = None):
+    """Grid values of `lead` and of grad u, from one inverse transform.
+
+    Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`.  The batch of
+    m + n^2 components (m = len(lead), 0 when lead is None) is built on the
+    k_n >= 0 half spectrum only, which is all `coeffs_to_grid` reads.
+    """
+    n = lattice.n
+    half = lattice.N // 2 + 1
+    m = 0 if lead is None else len(lead)
+    batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
+    if m:
+        batch[:m] = lead[..., :half]
+    ik = [1j * g[..., :half] for g in lattice.mode_grids]
+    for i in range(n):
+        c = coeffs[i, ..., :half]
+        for j in range(n):
+            np.multiply(ik[j], c, out=batch[m + n * i + j])
+    phys = coeffs_to_grid(batch, n)
+    return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
 
 
 def to_spectral(f: PhysicalVectorField) -> SpectralVectorField:
@@ -195,13 +231,18 @@ def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
 
 
 def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
-    """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched."""
+    """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
+
+    Preserves Hermitian symmetry on dealiased fields.  On an undealiased
+    Hermitian field it breaks the symmetry on the Nyquist planes
+    (k_j = -N/2): a mode and its partner -k (mod N) share the label -N/2 on
+    that axis, so their projectors differ.  On a 2D N=16 field with every
+    mode filled the defect is 0.13 against a largest coefficient of 0.18.
+    `coeffs_to_grid` reads only one half of such a field.
+    """
     grids = lattice.mode_grids
-    inv_ksq = np.zeros(lattice.shape)
-    nonzero = lattice.ksq_array > 0
-    inv_ksq[nonzero] = 1.0 / lattice.ksq_array[nonzero]
     div = sum(grids[j] * coeffs[j] for j in range(lattice.n))
-    div_over_ksq = div * inv_ksq
+    div_over_ksq = div * lattice.inv_ksq_array
     out = coeffs.copy()
     for j in range(lattice.n):
         out[j] -= grids[j] * div_over_ksq

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from nshd.diagnostics import energy
+from nshd.diagnostics import energy, enstrophy_production
 from nshd.dynamics import (
     Diverged,
     SolverConfig,
@@ -25,9 +26,12 @@ from nshd.spectral import (
     SpectralVectorField,
     build_lattice,
     coeffs_to_grid,
+    dealias_coeffs,
     divergence_defect,
     hermitian_defect,
+    leray_project_coeffs,
     mean_mode,
+    vorticity,
     zero_field,
 )
 
@@ -122,6 +126,41 @@ def test_nonlinear_term_matches_convolution_oracle():
     np.testing.assert_allclose(got, expected, atol=1e-14)
     # interaction mode k_a + k_b = (3,2) must be populated after projection
     assert abs(got[0][3, 2]) > 1e-4
+
+
+def full_spectrum_reference(u):
+    """RHS, pressure and enstrophy production from full complex transforms."""
+    lat, c = u.lattice, u.coeffs
+    n, g = lat.n, lat.mode_grids
+    axes = tuple(range(1, n + 1))
+    inv = lambda b: scipy.fft.ifftn(b, axes=axes, norm="forward").real
+    fwd = lambda v, ax=axes: scipy.fft.fftn(v, axes=ax, norm="forward")
+    vel = inv(c)
+    d = inv(np.stack([1j * g[j] * c[i] for i in range(n) for j in range(n)]))
+    d = d.reshape((n, n) + lat.shape)  # d[i, j] = d_j u_i
+    rhs = -leray_project_coeffs(lat, dealias_coeffs(
+        lat, fwd(np.einsum("j...,ij...->i...", vel, d))))
+    rhs[(slice(None),) + (0,) * n] = 0.0
+    trace_hat = fwd(np.einsum("ij...,ji...->...", d, d), tuple(range(n)))
+    ksq = np.where(lat.ksq_array > 0, lat.ksq_array, np.inf)
+    p = dealias_coeffs(lat, trace_hat) / ksq
+    production = 0.0
+    if n == 3:
+        w = inv(vorticity(u).coeffs)
+        production = lat.cell_volume * float(
+            np.sum(np.einsum("i...,ji...,j...->...", w, d, w)))
+    return rhs, p, production
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
+    u = make_random_field(n=n, N=N, seed=38, band=(1, 5))
+    rhs, p, production = full_spectrum_reference(u)
+    got_rhs = nonlinear_rhs(u.lattice, u.coeffs)
+    assert np.max(np.abs(got_rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+    got_p = compute_pressure(u)
+    assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
+    assert enstrophy_production(u) == pytest.approx(production, rel=1e-13, abs=0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

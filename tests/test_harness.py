@@ -265,6 +265,17 @@ def test_nshd_threads_env_respected(tmp_path, monkeypatch):
     assert len(summary.rows) == 2
 
 
+def test_cli_sweep_non_integer_threads_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NSHD_THREADS", "two")
+    path = make_config(tmp_path, **{"solver.t_end": 0.02})
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", str(path), "--alphas", "0.9,1.1",
+                 "--out", str(out)])
+    assert code == 1
+    assert "NSHD_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     path = make_config(
         tmp_path,

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from nshd.spectral import (
     PhysicalVectorField,
     SpectralVectorField,
     build_lattice,
+    coeffs_to_grid,
     dealias,
     divergence_defect,
     hermitian_defect,
@@ -70,6 +72,14 @@ def test_dealias_mask_symmetric_under_reflection():
     assert np.array_equal(mask, reflected)
 
 
+def test_inv_ksq_inverts_ksq_off_the_mean_mode():
+    lat = build_lattice(3, 8)
+    assert lat.inv_ksq_array[0, 0, 0] == 0.0
+    nonzero = lat.ksq_array > 0
+    np.testing.assert_array_equal(lat.inv_ksq_array[nonzero],
+                                  1.0 / lat.ksq_array[nonzero])
+
+
 def test_kmod_zero_unique():
     lat = build_lattice(2, 16)
     assert lat.kmod(0) == 0.0
@@ -123,6 +133,38 @@ def test_parseval(seed):
     quadrature = u.lattice.cell_volume * float(np.sum(phys.values**2))
     mode_sum = u.lattice.volume * float(np.sum(np.abs(u.coeffs) ** 2))
     assert quadrature == pytest.approx(mode_sum, rel=1e-10)
+
+
+def _transform_batch(u):
+    """Velocity components and derivatives of odd and even order."""
+    g, c = u.lattice.mode_grids, u.coeffs
+    return np.stack([
+        c[0],
+        1j * g[0] * c[1],
+        1j * g[-1] * c[0],
+        -g[1] * g[-1] * c[-1],
+        (1j * g[-1]) ** 3 * c[1],
+    ])
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_coeffs_to_grid_reads_only_the_half_spectrum(n, N):
+    batch = _transform_batch(make_random_field(n=n, N=N, seed=22, band=(1, 4)))
+    full = coeffs_to_grid(batch, n)
+    np.testing.assert_array_equal(coeffs_to_grid(batch[..., : N // 2 + 1], n), full)
+    np.testing.assert_array_equal(coeffs_to_grid(batch[0], n), full[0])
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_coeffs_to_grid_matches_complex_inverse(n, N, seed):
+    # on Hermitian band-limited input the complex-to-real transform agrees
+    # with the full complex inverse transform, odd derivatives included
+    batch = _transform_batch(make_random_field(n=n, N=N, seed=seed, band=(1, 4)))
+    want = scipy.fft.ifftn(batch, axes=tuple(range(1, n + 1)), norm="forward").real
+    got = coeffs_to_grid(batch, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # -- Leray projection ------------------------------------------------------------

@@ -1,0 +1,62 @@
+"""Transformed-component counts of the RHS, CFL check and diagnostics record.
+
+Counters are installed on coeffs_to_grid/grid_to_coeffs under every module
+name that binds them, so a change that routes work around these two
+functions, or adds transforms, fails here.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import nshd.spectral as spectral
+from nshd.diagnostics import compute_diagnostics
+from nshd.dynamics import SolverConfig, SolverState, cfl_dt, nonlinear_rhs, step
+
+from conftest import make_random_field
+
+
+@pytest.fixture
+def transformed(monkeypatch):
+    """Components through the inverse and forward transforms, by direction."""
+    counts = {"inverse": 0, "forward": 0}
+    for name, key in (("coeffs_to_grid", "inverse"), ("grid_to_coeffs", "forward")):
+        original = getattr(spectral, name)
+
+        def counted(values, n, original=original, key=key):
+            counts[key] += int(np.prod(values.shape[: values.ndim - n]))
+            return original(values, n)
+
+        for modname, module in list(sys.modules.items()):
+            if module is None or not (modname == "nshd" or modname.startswith("nshd.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rhs_and_step_counts(transformed, n):
+    u = make_random_field(n=n, N=16, seed=40, band=(1, 4))
+    nonlinear_rhs(u.lattice, u.coeffs)
+    assert transformed == {"inverse": n + n * n, "forward": n}
+    transformed.update(inverse=0, forward=0)
+    cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
+    step(SolverState(u=u), 1e-3, cfg)
+    assert transformed == {"inverse": 4 * (n + n * n), "forward": 4 * n}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cfl_counts(transformed, n):
+    u = make_random_field(n=n, N=16, seed=41, band=(1, 4))
+    cfl_dt(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
+    assert transformed == {"inverse": n, "forward": 0}
+
+
+@pytest.mark.parametrize("n, total", [(2, 7), (3, 25)])
+def test_diagnostics_record_counts(transformed, n, total):
+    u = make_random_field(n=n, N=16, seed=42, band=(1, 4))
+    compute_diagnostics(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
+    assert transformed["inverse"] + transformed["forward"] == total
