@@ -22,7 +22,7 @@ _HEADER = struct.Struct("<4sBBIdddQ")
 
 
 class CheckpointFormatError(Exception):
-    """Raised when a checkpoint file has the wrong magic, version or size."""
+    """Raised when a checkpoint file has the wrong magic, version, header or size."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,10 @@ def read_checkpoint(path):
         raise CheckpointFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    lattice = build_lattice(n, N)
+    try:
+        lattice = build_lattice(n, N)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad checkpoint header: {exc}") from None
     expected = n * lattice.total_modes * 16
     body = raw[_HEADER.size:]
     if len(body) != expected:

@@ -6,6 +6,9 @@ under the 2/3 rule.  Time stepping is classical RK4 applied to the
 integrating-factor variable v = exp(nu |k|^(2*alpha) t) u, so the stiff
 dissipative part is handled exactly: with the nonlinearity switched off a
 step reduces to exact exponential decay.
+
+States are stored as full spectra; a step works on the k_n >= 0 half of the
+real field's spectrum and completes its result once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from .spectral import (
     build_lattice,
     coeffs_to_grid,
     dealias_coeffs,
+    full_spectrum,
     grid_to_coeffs,
+    half_spectrum,
     leray_project_coeffs,
     velocity_gradient_grid,
 )
@@ -95,11 +100,12 @@ def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> n
 
 def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray, *,
                   dealias: bool = True) -> np.ndarray:
-    """-P[(u.grad)u] in spectral space (array level).
+    """-P[(u.grad)u] on the k_n >= 0 half spectrum (array level).
 
     Velocity and all partial derivatives are transformed to the grid, the
     convective products are formed pointwise, and the result is transformed
-    back, dealiased, projected and mean-zeroed.
+    back, dealiased, projected and mean-zeroed.  `coeffs` may be the full
+    spectrum or its half; the result is the half, shape (n, N, ..., N//2 + 1).
     """
     n = lattice.n
     vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs)
@@ -113,7 +119,8 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray, *,
 
 
 def nonlinear_term(u: SpectralVectorField, *, dealias: bool = True) -> SpectralVectorField:
-    return u.with_coeffs(nonlinear_rhs(u.lattice, u.coeffs, dealias=dealias))
+    rhs = nonlinear_rhs(u.lattice, u.coeffs, dealias=dealias)
+    return u.with_coeffs(full_spectrum(rhs, u.lattice.n))
 
 
 def compute_pressure(u: SpectralVectorField) -> np.ndarray:
@@ -121,12 +128,13 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
 
     Tr (grad u)^2 = sum_{i,j} (d_i u_j)(d_j u_i) is formed pseudo-spectrally
     and dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0.
+    The solve runs on the k_n >= 0 half; the full spectrum is returned.
     """
     lat = u.lattice
     _, grad = velocity_gradient_grid(lat, u.coeffs)
     trace = np.einsum("ij...,ji...->...", grad, grad)
     g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n))
-    return g_hat * lat.inv_ksq_array
+    return full_spectrum(g_hat * lat.inv_ksq_array[..., : g_hat.shape[-1]], lat.n)
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs) -> np.ndarray:
@@ -150,25 +158,48 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs) -> np.nd
         )
 
 
+def _step_half(lattice: WavenumberLattice, coeffs: np.ndarray, dt: float,
+               symbol: np.ndarray, *, dealias: bool = True) -> np.ndarray:
+    """IF-RK4 step plus cleanup on k_n >= 0 half-spectrum arrays.
+
+    `symbol` may be full or half width.  With dealias=False the 2/3 rule is
+    skipped both in the RHS and in the cleanup.
+    """
+    symbol = symbol[..., : coeffs.shape[-1]]
+    rhs = lambda c: nonlinear_rhs(lattice, c, dealias=dealias)
+    new = if_rk4_step(coeffs, dt, symbol, rhs)
+    # divergence cleanup: cheap, stops projection drift from accumulating
+    if dealias:
+        new = dealias_coeffs(lattice, new)
+    new = leray_project_coeffs(lattice, new)
+    new[(slice(None),) + (0,) * lattice.n] = 0.0
+    return new
+
+
+def _half_symbol(lattice: WavenumberLattice, cfg: SolverConfig) -> np.ndarray:
+    """Dissipation symbol of cfg on the k_n >= 0 half spectrum."""
+    return half_spectrum(np.zeros(lattice.shape) if cfg.inviscid
+                         else dissipation_symbol(lattice, cfg.alpha, cfg.nu))
+
+
 def step(state: SolverState, dt: float, cfg: SolverConfig,
          symbol: np.ndarray | None = None) -> SolverState:
-    """Advance one RK4 step of size dt; raises Diverged on non-finite output."""
+    """Advance one RK4 step of size dt; raises Diverged on non-finite output.
+
+    `symbol`, full or half width, defaults to the dissipation symbol of cfg.
+    The step runs on the k_n >= 0 half and completes the result once.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     lat = state.u.lattice
     if symbol is None:
-        symbol = (np.zeros(lat.shape) if cfg.inviscid
-                  else dissipation_symbol(lat, cfg.alpha, cfg.nu))
-    rhs = lambda c: nonlinear_rhs(lat, c)
-    new = if_rk4_step(state.u.coeffs, dt, symbol, rhs)
-    # divergence cleanup: cheap, stops projection drift from accumulating
-    new = leray_project_coeffs(lat, dealias_coeffs(lat, new))
-    new[(slice(None),) + (0,) * lat.n] = 0.0
+        symbol = _half_symbol(lat, cfg)
+    new = _step_half(lat, half_spectrum(state.u.coeffs), dt, symbol)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise Diverged(t_new, state.step_count + 1)
     return SolverState(
-        u=SpectralVectorField(lat, new, t_new),
+        u=SpectralVectorField(lat, full_spectrum(new, lat.n), t_new),
         t=t_new,
         step_count=state.step_count + 1,
     )
@@ -194,9 +225,7 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
-    lat = state.u.lattice
-    symbol = (np.zeros(lat.shape) if cfg.inviscid
-              else dissipation_symbol(lat, cfg.alpha, cfg.nu))
+    symbol = _half_symbol(state.u.lattice, cfg)
 
     def emit(st, dt_last):
         if sink is not None:

@@ -15,6 +15,7 @@ between threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -133,7 +134,9 @@ class SpectralVectorField:
 
     `coeffs` has shape (n, N, ..., N): component index first, then the FFT
     grid.  Valid solver states are Hermitian-symmetric (real-valued in
-    physical space), zero-mean and divergence-free.
+    physical space), zero-mean and divergence-free.  Time stepping works on
+    the k_n >= 0 half (`half_spectrum`) and completes back to this full
+    layout (`full_spectrum`), which diagnostics and checkpoints read.
     """
 
     lattice: WavenumberLattice
@@ -176,9 +179,13 @@ class PhysicalVectorField:
 
 
 def grid_to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
-    """Forward transform of grid samples over the trailing n axes."""
+    """Forward real-to-complex transform of grid samples over the trailing n axes.
+
+    Returns only the k_n >= 0 half of the last axis, shape
+    (..., N, ..., N//2 + 1); `full_spectrum` completes it.
+    """
     axes = tuple(range(values.ndim - n, values.ndim))
-    return _fft.fftn(values, axes=axes, norm="forward")
+    return _fft.rfftn(values, axes=axes, norm="forward")
 
 
 def coeffs_to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -194,6 +201,36 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
     return _fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
                        norm="forward")
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Contiguous copy of the k_n >= 0 half of the last axis, [..., :N//2 + 1]."""
+    N = coeffs.shape[-2]
+    return coeffs[..., : N // 2 + 1].copy()
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian completion of a k_n >= 0 half spectrum over the trailing n axes.
+
+    The modes k_n < 0 are filled with conj(c(-k)); the half itself, including
+    its k_n = 0 and k_n = N/2 planes, is copied unchanged.  Full-width input
+    (last axis N) is returned unchanged.
+    """
+    N = half.shape[-2]
+    if half.shape[-1] == N:
+        return half
+    w = N // 2 + 1
+    full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
+    full[..., :w] = half
+    # mode -k: index 0 stays 0 and 1..N-1 reverse on each leading axis; the
+    # missing last-axis indices w..N-1 mirror N//2 - 1..1
+    lead = (slice(None),) * (half.ndim - n)
+    for flipped in itertools.product((False, True), repeat=n - 1):
+        dst = tuple(slice(1, None) if f else slice(0, 1) for f in flipped)
+        src = tuple(slice(None, 0, -1) if f else slice(0, 1) for f in flipped)
+        np.conjugate(half[lead + src + (slice(N // 2 - 1, 0, -1),)],
+                     out=full[lead + dst + (slice(w, None),)])
+    return full
 
 
 def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
@@ -220,7 +257,8 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
 
 
 def to_spectral(f: PhysicalVectorField) -> SpectralVectorField:
-    return SpectralVectorField(f.lattice, grid_to_coeffs(f.values, f.lattice.n))
+    n = f.lattice.n
+    return SpectralVectorField(f.lattice, full_spectrum(grid_to_coeffs(f.values, n), n))
 
 
 def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
@@ -233,16 +271,19 @@ def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
 def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
     """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
 
+    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1).
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
-    Hermitian field it breaks the symmetry on the Nyquist planes
-    (k_j = -N/2): a mode and its partner -k (mod N) share the label -N/2 on
-    that axis, so their projectors differ.  On a 2D N=16 field with every
-    mode filled the defect is 0.13 against a largest coefficient of 0.18.
-    `coeffs_to_grid` reads only one half of such a field.
+    field it breaks the symmetry on the Nyquist planes (k_j = -N/2): a mode
+    and its partner -k (mod N) share the label -N/2 on that axis, so their
+    projectors differ.  On a 2D N=16 field with every mode filled the defect
+    is 0.13 against a largest coefficient of 0.18.  In the half layout the
+    k_n = 0 and k_n = N/2 planes hold both partners, so the defect survives
+    `full_spectrum` there and only there.
     """
-    grids = lattice.mode_grids
+    width = coeffs.shape[-1]
+    grids = [g[..., :width] for g in lattice.mode_grids]
     div = sum(grids[j] * coeffs[j] for j in range(lattice.n))
-    div_over_ksq = div * lattice.inv_ksq_array
+    div_over_ksq = div * lattice.inv_ksq_array[..., :width]
     out = coeffs.copy()
     for j in range(lattice.n):
         out[j] -= grids[j] * div_over_ksq
@@ -261,7 +302,8 @@ def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs * lattice.dealias_mask_array
+    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half."""
+    return coeffs * lattice.dealias_mask_array[..., : coeffs.shape[-1]]
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:

@@ -1,9 +1,9 @@
 """Standalone verification suite: every checkable identity, pass/fail per name.
 
-Dynamics-based properties run through a local fixed-step loop that accepts
-fault injections (dissipation sign flip, dealiasing disabled) so the suite
-itself can be tested: a deliberately broken operator must trip the property
-that watches for it, and only that kind of property.
+Dynamics-based properties run through a fixed-step loop over the solver's own
+stepping kernel with fault injections (dissipation sign flip, dealiasing
+disabled) so the suite itself can be tested: a deliberately broken operator
+must trip the property that watches for it, and only that kind of property.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from .diagnostics import (
     moment_inequality_rhs,
     moment_inequality_scan,
 )
-from .dynamics import SolverConfig, dissipation_symbol, if_rk4_step, nonlinear_rhs
+from .dynamics import (
+    SolverConfig,
+    _step_half,
+    dissipation_symbol,
+    if_rk4_step,
+    nonlinear_term,
+)
 from .initial_conditions import InitialConditionSpec, random_band_limited, taylor_green
 from .scaling import (
     apply_discrete_rescale,
@@ -40,7 +46,8 @@ from .spectral import (
     SpectralVectorField,
     build_lattice,
     dealias,
-    dealias_coeffs,
+    full_spectrum,
+    half_spectrum,
     hermitian_defect,
     leray_project,
     leray_project_coeffs,
@@ -78,24 +85,19 @@ def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjectio
     lat = u0.lattice
     sign = -1.0 if faults.dissipation_sign_flip else 1.0
     symbol = sign * dissipation_symbol(lat, alpha, nu) if nu else np.zeros(lat.shape)
-    rhs = lambda c: nonlinear_rhs(lat, c, dealias=not faults.dealias_off)
-    zero = (slice(None),) + (0,) * lat.n
-    coeffs = u0.coeffs
+    symbol = half_spectrum(symbol)
+    coeffs = half_spectrum(u0.coeffs)
     t = 0.0
-    samples = [SpectralVectorField(lat, coeffs, t)]
+    samples = [SpectralVectorField(lat, u0.coeffs, t)]
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-14:
             h = min(dt, t_end - t)
-            coeffs = if_rk4_step(coeffs, h, symbol, rhs)
-            if not faults.dealias_off:
-                coeffs = dealias_coeffs(lat, coeffs)
-            coeffs = leray_project_coeffs(lat, coeffs)
-            coeffs[zero] = 0.0
+            coeffs = _step_half(lat, coeffs, h, symbol, dealias=not faults.dealias_off)
             t += h
             step += 1
             if step % stride == 0 or t >= t_end - 1e-14:
-                samples.append(SpectralVectorField(lat, coeffs, t))
+                samples.append(SpectralVectorField(lat, full_spectrum(coeffs, lat.n), t))
     return samples
 
 
@@ -161,7 +163,7 @@ def _check_hermitian_preservation(faults):
     candidates = [
         leray_project(u),
         dealias(u),
-        u.with_coeffs(nonlinear_rhs(u.lattice, u.coeffs)),
+        nonlinear_term(u),
         _evolve(u, 1.0, 0.5, 0.02, 0.01, faults)[-1],
     ]
     worst = max(hermitian_defect(v) for v in candidates)

@@ -76,3 +76,19 @@ def test_reject_truncated_body(tmp_path):
     bad.write_bytes(raw[:-8])
     with pytest.raises(CheckpointFormatError, match="body"):
         read_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field, value", [("n", 5), ("N", 33), ("N", 4)])
+def test_reject_unsupported_lattice_header(tmp_path, field, value):
+    u = make_random_field(seed=46, N=8, band=(1, 2))
+    path = tmp_path / "state.nshd"
+    write_checkpoint(path, u, alpha=1.0, nu=1.0)
+    raw = bytearray(path.read_bytes())
+    if field == "n":
+        struct.pack_into("<B", raw, 5, value)
+    else:
+        struct.pack_into("<I", raw, 6, value)
+    bad = tmp_path / "bad.nshd"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="header"):
+        read_checkpoint(bad)

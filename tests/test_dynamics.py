@@ -28,6 +28,7 @@ from nshd.spectral import (
     coeffs_to_grid,
     dealias_coeffs,
     divergence_defect,
+    full_spectrum,
     hermitian_defect,
     leray_project_coeffs,
     mean_mode,
@@ -122,7 +123,7 @@ def test_nonlinear_term_matches_convolution_oracle():
     conv = convection_oracle(u)
     expected = -leray_project_coeffs(lat, dealias_coeffs(lat, conv))
     expected[(slice(None), 0, 0)] = 0.0
-    got = nonlinear_rhs(lat, u.coeffs)
+    got = full_spectrum(nonlinear_rhs(lat, u.coeffs), 2)
     np.testing.assert_allclose(got, expected, atol=1e-14)
     # interaction mode k_a + k_b = (3,2) must be populated after projection
     assert abs(got[0][3, 2]) > 1e-4
@@ -156,7 +157,7 @@ def full_spectrum_reference(u):
 def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
     u = make_random_field(n=n, N=N, seed=38, band=(1, 5))
     rhs, p, production = full_spectrum_reference(u)
-    got_rhs = nonlinear_rhs(u.lattice, u.coeffs)
+    got_rhs = full_spectrum(nonlinear_rhs(u.lattice, u.coeffs), n)
     assert np.max(np.abs(got_rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
     got_p = compute_pressure(u)
     assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
@@ -211,7 +212,7 @@ def test_pressure_poisson_consistency():
                       for i in range(2) for j in range(2)])
     d = coeffs_to_grid(batch, 2).reshape((2, 2) + lat.shape)
     trace = np.einsum("ij...,ji...->...", d, d)
-    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, 2))
+    g_hat = full_spectrum(dealias_coeffs(lat, grid_to_coeffs(trace, 2)), 2)
     residual = lat.ksq_array * p - g_hat
     residual[(0,) * lat.n] = 0.0  # mean of p is gauge, mean of g is dropped
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, np.max(np.abs(g_hat)))
@@ -255,6 +256,45 @@ def test_step_exact_decay_single_mode():
     symbol = dissipation_symbol(lat, 1.0, 1.0)
     out = if_rk4_step(coeffs, 0.1, symbol, lambda c: np.zeros_like(c))
     np.testing.assert_allclose(out, coeffs * np.exp(-0.2), rtol=1e-14, atol=0)
+
+
+def full_spectrum_step(u, dt, symbol):
+    """One IF-RK4 step and cleanup on the full spectrum, RHS from fftn/ifftn."""
+    lat = u.lattice
+    rhs = lambda c: full_spectrum_reference(SpectralVectorField(lat, c))[0]
+    e_half = np.exp(-0.5 * dt * symbol)
+    e_full = e_half * e_half
+    c0 = u.coeffs
+    a = rhs(c0)
+    b = rhs(e_half * (c0 + 0.5 * dt * a))
+    c = rhs(e_half * c0 + 0.5 * dt * b)
+    d = rhs(e_full * c0 + dt * e_half * c)
+    new = e_full * c0 + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    new = leray_project_coeffs(lat, dealias_coeffs(lat, new))
+    new[(slice(None),) + (0,) * lat.n] = 0.0
+    return u.with_coeffs(new, time=u.time + dt)
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
+    u0 = make_random_field(n=n, N=N, seed=39, band=(1, 5))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=5e-3, dt_max=1e-3,
+                       diag_stride=10**9)
+    symbol = dissipation_symbol(u0.lattice, cfg.alpha, cfg.nu)
+    ref = [u0]
+    for _ in range(5):
+        ref.append(full_spectrum_step(ref[-1], 1e-3, symbol))
+
+    def rel_err(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    for given_symbol in (None, symbol):  # step slices a full-width symbol
+        one = step(SolverState(u=u0), 1e-3, cfg, symbol=given_symbol)
+        assert one.u.coeffs.shape == u0.coeffs.shape
+        assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
+    final = advance(SolverState(u=u0), cfg)
+    assert final.step_count == 5
+    assert rel_err(final.u.coeffs, ref[-1].coeffs) <= 1e-13
 
 
 def test_step_zero_field_stays_zero(lattice_2d):

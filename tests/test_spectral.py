@@ -14,6 +14,10 @@ from nshd.spectral import (
     coeffs_to_grid,
     dealias,
     divergence_defect,
+    full_spectrum,
+    grid_to_coeffs,
+    half_spectrum,
+    hermitian_conjugate,
     hermitian_defect,
     leray_project,
     spectral_derivative,
@@ -165,6 +169,49 @@ def test_coeffs_to_grid_matches_complex_inverse(n, N, seed):
     want = scipy.fft.ifftn(batch, axes=tuple(range(1, n + 1)), norm="forward").real
     got = coeffs_to_grid(batch, n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# -- half-spectrum layout ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_full_spectrum_inverts_half_spectrum(n, N, seed):
+    c = make_random_field(n=n, N=N, seed=seed, band=(1, 4)).coeffs
+    half = half_spectrum(c)
+    assert half.shape == (n,) + (N,) * (n - 1) + (N // 2 + 1,)
+    assert half.flags.c_contiguous
+    np.testing.assert_array_equal(full_spectrum(half, n), c)
+    assert full_spectrum(c, n) is c  # full width passes through
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_completed_half_is_hermitian_off_the_edge_planes(n, N, seed):
+    # an arbitrary half: only the k_n = 0 and k_n = N/2 planes, which hold
+    # both partners of a pair, can break the symmetry of the completion
+    rng = np.random.default_rng(seed)
+    shape = (n,) + (N,) * (n - 1) + (N // 2 + 1,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = full_spectrum(half, n)
+    np.testing.assert_array_equal(full[..., : N // 2 + 1], half)
+    defect = full - hermitian_conjugate(build_lattice(n, N), full)
+    assert np.all(defect[..., 1 : N // 2] == 0)
+    assert np.all(defect[..., N // 2 + 1 :] == 0)
+    assert np.max(np.abs(defect[..., 0])) > 0
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_grid_to_coeffs_is_the_half_of_fftn(n, N, seed):
+    x = np.random.default_rng(seed).standard_normal((n,) + (N,) * n)
+    want = scipy.fft.fftn(x, axes=tuple(range(1, n + 1)), norm="forward")
+    got = grid_to_coeffs(x, n)
+    assert got.shape == want[..., : N // 2 + 1].shape
+    assert np.max(np.abs(got - want[..., : N // 2 + 1])) <= 1e-15 * np.max(np.abs(want))
 
 
 # -- Leray projection ------------------------------------------------------------
