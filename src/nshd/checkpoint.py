@@ -5,11 +5,17 @@ Layout (little-endian):
     header: u8 n, u32 N, f64 alpha, f64 nu, f64 time, u64 seed,
     body: for each component i = 1..n, the complex coefficients in flat
     row-major FFT order, each written as (f64 real, f64 imag).
+
+Writes are atomic: the bytes go to a temporary file in the same directory,
+which then replaces the target, so a failed write leaves the previous file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +45,16 @@ def write_checkpoint(path, u: SpectralVectorField, alpha: float, nu: float,
     header = _HEADER.pack(MAGIC, VERSION, lat.n, lat.N, float(alpha), float(nu),
                           float(u.time), int(seed))
     body = np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path):

@@ -7,6 +7,18 @@ Each run writes three artifacts into its output directory:
 
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
 2 diverged, 3 resolution loss, 4 unwritable output.
+
+Threads are decided here and nowhere else.  The budget is `NSHD_THREADS`
+(a positive integer) if set, else the usable CPUs, and never more than the
+usable CPUs.  `run_config` and `scale_check` step inside
+`scipy.fft.set_workers(k)`: k is the budget on lattices of at least
+FFT_THREAD_POINTS = 2^18 points (3D N >= 64, 2D N >= 512) and 1 below, where
+two pocketfft workers measured slower than one.  `sweep` runs
+min(alphas, budget) alphas at once and gives each run budget // that many
+FFT workers, so alpha threads x FFT workers never exceeds the budget.
+Everything else, the verify suite included, keeps scipy's default of one
+worker.  Threaded transforms are bit-identical to serial ones, so no output
+depends on the thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .checkpoint import write_checkpoint
 from .config import ConfigError, RunConfig, load_config
@@ -41,6 +54,8 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_RESOLUTION_LOSS = 3
 EXIT_OUTPUT = 4
+
+FFT_THREAD_POINTS = 2 ** 18  # smallest lattice whose runs transform on the budget
 
 _STATUS_EXIT = {
     STATUS_COMPLETED: EXIT_OK,
@@ -64,6 +79,7 @@ class RunRecord:
     status: str
     csv_path: str
     checkpoint_path: str
+    fft_workers: int
 
     @property
     def exit_code(self) -> int:
@@ -104,18 +120,56 @@ def _prepare_out_dir(out_dir):
         raise OutputError(f"cannot write to output directory {out_dir}: {exc}") from exc
 
 
-def run_config(config: RunConfig, out_dir) -> RunRecord:
-    """Execute one configured run, writing all artifacts into out_dir."""
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_budget() -> int:
+    """Threads nshd may use: NSHD_THREADS if set, else the usable CPUs; never more."""
+    usable = _usable_cpus()
+    env = os.environ.get("NSHD_THREADS")
+    if env is None:
+        return usable
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ConfigError("NSHD_THREADS", f"must be a positive integer, got {env!r}")
+    return min(budget, usable)
+
+
+def _fft_workers(cfg, budget: int) -> int:
+    return budget if cfg.N ** cfg.n >= FFT_THREAD_POINTS else 1
+
+
+def sweep_threads(n_alphas: int, budget: int, cfg) -> tuple[int, int]:
+    """(alpha threads, FFT workers per run) of a sweep; the product is <= budget."""
+    alpha_threads = max(1, min(n_alphas, budget))
+    return alpha_threads, _fft_workers(cfg, budget // alpha_threads)
+
+
+def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) -> RunRecord:
+    """Execute one configured run, writing all artifacts into out_dir.
+
+    The run steps with `fft_workers` scipy.fft workers; by default the thread
+    budget on lattices of FFT_THREAD_POINTS points or more, else 1.
+    """
+    cfg = config.solver
+    if fft_workers is None:
+        fft_workers = _fft_workers(cfg, thread_budget())
     _prepare_out_dir(out_dir)
     started = _now()
-    cfg = config.solver
     lattice = cfg.make_lattice()
     u0 = build_initial_field(lattice, config.initial_condition)
     state = SolverState(u=u0, t=u0.time, step_count=0)
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     records = []
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with (open(csv_path, "w", encoding="utf-8", newline="\n") as fh,
+          scipy.fft.set_workers(fft_workers)):
         fh.write(csv_header(cfg) + "\n")
 
         def sink(record):
@@ -146,6 +200,7 @@ def run_config(config: RunConfig, out_dir) -> RunRecord:
         status=status,
         csv_path=csv_path,
         checkpoint_path=checkpoint_path,
+        fft_workers=fft_workers,
     )
     with open(os.path.join(out_dir, "run_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(record), fh, indent=2)
@@ -157,18 +212,6 @@ def run_experiment(config_path, out_dir) -> RunRecord:
     return run_config(load_config(config_path), out_dir)
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("NSHD_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError("NSHD_THREADS", f"must be an integer, got {env!r}") from None
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_tasks, cap))
-
-
 def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
     """Run the same IC/config across a list of alphas; one row per alpha."""
     alphas = [float(a) for a in alphas]
@@ -177,7 +220,7 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
     if not alphas:
         raise ConfigError("alphas", "need at least one alpha")
     alphas = sorted(alphas)
-    workers = _worker_count(len(alphas))
+    workers, fft_workers = sweep_threads(len(alphas), thread_budget(), config.solver)
     _prepare_out_dir(out_dir)
 
     base_orders = set(config.solver.moment_orders)
@@ -190,7 +233,7 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
         )
         sub = RunConfig(solver=solver, initial_condition=config.initial_condition)
         sub_dir = os.path.join(out_dir, f"alpha_{alpha:g}")
-        record = run_config(sub, sub_dir)
+        record = run_config(sub, sub_dir, fft_workers=fft_workers)
         return record, _read_row_metrics(record, sub)
 
     if workers > 1:
@@ -301,14 +344,14 @@ def scale_check(config: RunConfig, q: int,
     lattice = cfg.make_lattice()
     u0 = build_initial_field(lattice, config.initial_condition)
 
-    # run A: evolve, then zoom
-    state_a = advance(SolverState(u=u0), cfg)
-    # run B: zoom, then evolve for rescaled time with rescaled step cap
+    # run B zooms, then evolves for rescaled time with rescaled step cap
     u0_q = apply_discrete_rescale(u0, q, alpha)
     time_factor = float(q) ** (2.0 * float(alpha))
     cfg_b = dataclasses.replace(cfg, t_end=cfg.t_end / time_factor,
                                 dt_max=cfg.dt_max / time_factor)
-    state_b = advance(SolverState(u=u0_q), cfg_b)
+    with scipy.fft.set_workers(_fft_workers(cfg, thread_budget())):
+        state_a = advance(SolverState(u=u0), cfg)  # run A: evolve, then zoom
+        state_b = advance(SolverState(u=u0_q), cfg_b)
 
     if q == 1:
         sub = state_a.u

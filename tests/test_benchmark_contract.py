@@ -5,6 +5,7 @@
 benchmark samples.  The file is imported, never modified.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -47,3 +48,25 @@ def test_transforms_take_values_and_n_positionally(layers):
         assert module == "spectral"
         params = list(inspect.signature(getattr(spectral, attr)).parameters.values())
         assert [p.kind for p in params[:2]] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
+
+
+def test_workload_calls_still_bind():
+    # perfbench/workloads.call passes positional arguments only; any parameter
+    # beyond them must be keyword-only with a default
+    nshd = importlib.import_module("nshd")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    call = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "call")
+    calls = {(node.func.attr, len(node.args))
+             for node in ast.walk(call)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "nshd"}
+    assert {("run_config", 2), ("sweep", 3)} <= calls
+    calls.discard(("run_verification", 0))  # takes optional positional filters
+    for name, n_args in calls:
+        params = list(inspect.signature(getattr(nshd, name)).parameters.values())
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for p in params[:n_args]), name
+        assert all(p.kind is inspect.Parameter.KEYWORD_ONLY
+                   and p.default is not inspect.Parameter.empty
+                   for p in params[n_args:]), name

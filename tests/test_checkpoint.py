@@ -1,10 +1,12 @@
 """Binary checkpoint format: roundtrip, layout, rejection of bad files."""
 
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from nshd import checkpoint
 from nshd.checkpoint import (
     CheckpointFormatError,
     read_checkpoint,
@@ -92,3 +94,35 @@ def test_reject_unsupported_lattice_header(tmp_path, field, value):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match="header"):
         read_checkpoint(bad)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "state.nshd"
+    write_checkpoint(path, make_random_field(seed=43, N=16), alpha=1.0, nu=1.0)
+    before = path.read_bytes()
+
+    class FullDisk:
+        """Writes the header, then half the body, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.calls = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.calls += 1
+            if self.calls == 1:
+                return self.fh.write(data)
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_checkpoint(path, make_random_field(seed=44, N=16), alpha=1.0, nu=1.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.nshd"]

@@ -2,13 +2,25 @@
 
 import json
 import math
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import scipy.fft
 
+from nshd import dynamics, harness, verify
 from nshd.checkpoint import read_checkpoint
 from nshd.cli import main
 from nshd.config import ConfigError, load_config, parse_config
-from nshd.harness import run_config, run_experiment, scale_check, sweep
+from nshd.harness import (
+    run_config,
+    run_experiment,
+    scale_check,
+    sweep,
+    sweep_threads,
+    thread_budget,
+)
 
 
 def make_config(tmp_path, name="run.json", **overrides):
@@ -325,3 +337,120 @@ def test_run_diverged_exit_2(tmp_path):
 
 def test_cli_verify_no_match_exit_1():
     assert main(["verify", "--filter", "no_such_property_name"]) == 1
+
+
+# -- threads ---------------------------------------------------------------------
+
+
+def one_step_config(tmp_path, n, N):
+    dt = 2.0 ** -10
+    return load_config(make_config(
+        tmp_path, name=f"run{n}d{N}.json",
+        solver={"n": n, "N": N, "alpha": 1.25 if n == 3 else 1.0, "nu": 1.0,
+                "t_end": dt, "dt_max": dt, "diag_stride": 1},
+        initial_condition={"kind": "random_band", "seed": 21, "band": [1, 4]},
+    ))
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.fixture
+def step_workers(monkeypatch):
+    """scipy.fft.get_workers() at every IF-RK4 step, from every caller."""
+    seen = []
+    original = dynamics.if_rk4_step
+
+    def spy(*args, **kwargs):
+        seen.append(scipy.fft.get_workers())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "if_rk4_step", spy)
+    monkeypatch.setattr(verify, "if_rk4_step", spy)
+    return seen
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", ""])
+def test_thread_budget_rejects_non_positive(monkeypatch, value):
+    monkeypatch.setenv("NSHD_THREADS", value)
+    with pytest.raises(ConfigError, match="NSHD_THREADS"):
+        thread_budget()
+
+
+def test_thread_budget_capped_at_usable_cpus(monkeypatch):
+    usable = usable_cpus()
+    monkeypatch.delenv("NSHD_THREADS", raising=False)
+    assert thread_budget() == usable
+    monkeypatch.setenv("NSHD_THREADS", "100000")
+    assert thread_budget() == usable
+    monkeypatch.setenv("NSHD_THREADS", "1")
+    assert thread_budget() == 1
+
+
+def test_thread_budget_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("NSHD_THREADS", "100000")
+    assert thread_budget() == 3
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+def test_sweep_threads_stay_within_budget(budget):
+    big, small = SimpleNamespace(n=3, N=64), SimpleNamespace(n=3, N=32)
+    for n_alphas in range(1, 6):
+        for cfg in (big, small):
+            alpha_threads, fft_workers = sweep_threads(n_alphas, budget, cfg)
+            assert 1 <= alpha_threads <= n_alphas
+            assert fft_workers >= 1
+            assert alpha_threads * fft_workers <= budget
+        assert sweep_threads(n_alphas, budget, small)[1] == 1
+    assert sweep_threads(1, budget, big) == (1, budget)
+
+
+def test_sweep_threads_two_by_one_for_four_alphas():
+    assert sweep_threads(4, 2, SimpleNamespace(n=3, N=64)) == (2, 1)
+    assert sweep_threads(4, 2, SimpleNamespace(n=2, N=256)) == (2, 1)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_cli_run_bad_threads_exit_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("NSHD_THREADS", value)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(make_config(tmp_path)), "--out", str(out)])
+    assert code == 1
+    assert "NSHD_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threaded_3d_n64_run_is_byte_identical(tmp_path, monkeypatch, step_workers):
+    config = one_step_config(tmp_path, 3, 64)
+    outputs = []
+    for threads in (1, 2):
+        monkeypatch.setenv("NSHD_THREADS", str(threads))
+        del step_workers[:]
+        out = tmp_path / f"threads{threads}"
+        record = run_config(config, out)
+        workers = min(threads, usable_cpus())
+        assert record.fft_workers == workers
+        assert step_workers == [workers]
+        assert json.loads((out / "run_summary.json").read_text())["fft_workers"] == workers
+        outputs.append((Path(record.csv_path).read_bytes(),
+                        Path(record.checkpoint_path).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_small_lattices_and_verify_step_on_one_worker(tmp_path, monkeypatch, step_workers):
+    monkeypatch.setenv("NSHD_THREADS", "2")
+    for n, N in ((3, 32), (2, 256), (2, 32)):
+        out = tmp_path / f"out{n}d{N}"
+        assert run_config(one_step_config(tmp_path, n, N), out).fft_workers == 1
+        assert json.loads((out / "run_summary.json").read_text())["fft_workers"] == 1
+    assert step_workers == [1] * 3
+    assert scale_check(one_step_config(tmp_path, 3, 32), 1).passed
+    assert step_workers == [1] * 5
+    results = verify.run_verification()
+    assert all(r.passed for r in results)
+    assert len(step_workers) > 2 and set(step_workers) == {1}
