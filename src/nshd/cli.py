@@ -2,13 +2,17 @@
 
 Subcommands: run, sweep, scale-check, exponents, verify.  Exit codes for
 run/sweep follow the harness taxonomy: 0 completed, 1 invalid config or
-arguments, 2 diverged, 3 resolution loss, 4 unwritable output.
+arguments, 2 diverged, 3 resolution loss, 4 unwritable output.  `main` is
+the one place that turns a config error or an unwritable output into an
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -60,17 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        record = run_experiment(args.config, args.out)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OutputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_OUTPUT
+    record = run_experiment(args.config, args.out)
     print(f"status: {record.status}")
     print(f"final t = {record.final_time:g}, steps = {record.final_step}, "
           f"energy = {record.final_energy:.12g}")
@@ -85,51 +79,18 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print("invalid --alphas list", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = load_config(args.config)
-        summary = sweep(config, alphas, args.out)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OutputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_OUTPUT
+    summary = sweep(load_config(args.config), alphas, args.out)
     print(f"alpha_L({summary.n}) = {summary.alpha_lions:g}")
     for row in summary.rows:
         marker = "  <-- alpha_L" if row.is_lions_exponent else ""
         print(f"alpha={row.alpha:g} status={row.status} "
               f"E_ratio={row.energy_ratio:.6g}{marker}")
-    statuses = {row.status for row in summary.rows}
-    if "diverged" in statuses:
-        return 2
-    if "resolution_loss" in statuses:
-        return 3
-    return EXIT_OK
+    return summary.exit_code
 
 
 def _cmd_scale_check(args) -> int:
-    try:
-        config = load_config(args.config)
-        report = scale_check(config, args.q)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(json.dumps({
-        "q": report.q,
-        "alpha": report.alpha,
-        "n": report.n,
-        "t_end": report.t_end,
-        "commutation_discrepancy": report.commutation_discrepancy,
-        "truncated_tail_fraction": report.truncated_tail_fraction,
-        "commutation_pass": report.commutation_pass,
-        "energy_ratio": report.energy_ratio,
-        "energy_ratio_expected": report.energy_ratio_expected,
-        "energy_ratio_error": report.energy_ratio_error,
-        "energy_ratio_pass": report.energy_ratio_pass,
-    }, indent=2))
+    report = scale_check(load_config(args.config), args.q)
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK if report.passed else 1
 
 
@@ -137,7 +98,10 @@ def _parse_rational(text: str):
     if "/" in text:
         return Fraction(text)
     if "." in text or "e" in text or "E" in text:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {text!r}")
+        return value
     return int(text)
 
 
@@ -181,17 +145,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failed else 1
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "sweep": _cmd_sweep,
+    "scale-check": _cmd_scale_check,
+    "exponents": _cmd_exponents,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "scale-check":
-        return _cmd_scale_check(args)
-    if args.command == "exponents":
-        return _cmd_exponents(args)
-    return _cmd_verify(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def parse_config(data: dict) -> RunConfig:
             for v in vals:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"solver.{key}", "entries must be numbers")
-            sol[key] = tuple(float(v) for v in vals)
+            sol[key] = tuple(vals)
     if "band" in ic:
         band = ic["band"]
         if len(band) != 2 or not all(
@@ -146,11 +146,11 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("solver.n", f"must be 2 or 3, got {sol['n']}")
     try:
         solver = SolverConfig(**sol)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("solver", str(exc)) from exc
     try:
         spec = InitialConditionSpec(**ic)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("initial_condition", str(exc)) from exc
 
     if spec.kind == "random_band" and not spec.band[1] < solver.N / 3:

@@ -13,6 +13,7 @@ real field's spectrum and completes its result once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,15 @@ class SolverConfig:
             raise ValueError(f"n must be 2 or 3, got {self.n}")
         if self.N % 2 != 0:
             raise ValueError(f"N must be even, got {self.N}")
+        object.__setattr__(self, "moment_orders",
+                           tuple(float(m) for m in self.moment_orders))
+        object.__setattr__(self, "sobolev_betas",
+                           tuple(float(b) for b in self.sobolev_betas))
+        for name in ("alpha", "nu", "t_end", "cfl_safety", "dt_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, self.moment_orders + self.sobolev_betas)):
+            raise ValueError("moment orders and Sobolev exponents must be finite")
         if not self.inviscid:
             if not self.alpha > 0:
                 raise ValueError("alpha must be positive for viscous runs")
@@ -74,10 +84,6 @@ class SolverConfig:
             raise ValueError("dt_max must be positive")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
-        object.__setattr__(self, "moment_orders",
-                           tuple(float(m) for m in self.moment_orders))
-        object.__setattr__(self, "sobolev_betas",
-                           tuple(float(b) for b in self.sobolev_betas))
         for m in self.moment_orders:
             if m < 0:
                 raise ValueError("moment orders must be nonnegative")

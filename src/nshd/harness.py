@@ -6,7 +6,10 @@ Each run writes three artifacts into its output directory:
     run_summary.json       config snapshot, wall times, terminal status
 
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
-2 diverged, 3 resolution loss, 4 unwritable output.
+2 diverged, 3 resolution loss, 4 unwritable output.  A run's status is the
+gravest flag of its last record, a sweep's exit code that of its gravest
+row, by the one order diverged > resolution_loss > completed.  Sweep rows
+come from the RunRecord that `run_config` folds from its in-memory records.
 
 Threads are decided here and nowhere else.  The budget is `NSHD_THREADS`
 (a positive integer) if set, else the usable CPUs, and never more than the
@@ -36,13 +39,14 @@ import scipy.fft
 
 from .checkpoint import write_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import csv_header, csv_row, energy
+from .diagnostics import Flags, csv_header, csv_row, energy
 from .dynamics import SolverState, advance
 from .initial_conditions import build_initial_field
 from .scaling import (
     apply_discrete_rescale,
     lions_exponent,
     scaled_energy_ratio,
+    sub_ball,
 )
 
 STATUS_COMPLETED = "completed"
@@ -62,6 +66,13 @@ _STATUS_EXIT = {
     STATUS_DIVERGED: EXIT_DIVERGED,
     STATUS_RESOLUTION_LOSS: EXIT_RESOLUTION_LOSS,
 }
+_SEVERITY = (STATUS_DIVERGED, STATUS_RESOLUTION_LOSS)  # gravest first; else completed
+
+
+def _gravest(statuses) -> str:
+    """The gravest of the given statuses or flag names; completed if none."""
+    statuses = set(statuses)
+    return next((s for s in _SEVERITY if s in statuses), STATUS_COMPLETED)
 
 
 class OutputError(OSError):
@@ -80,6 +91,10 @@ class RunRecord:
     csv_path: str
     checkpoint_path: str
     fft_workers: int
+    initial_energy: float
+    max_enstrophy: float
+    max_moments: dict      # order -> max over records and components
+    first_flag_time: dict  # flag name -> t of the first record carrying it, or None
 
     @property
     def exit_code(self) -> int:
@@ -103,6 +118,10 @@ class SweepSummary:
     alpha_lions: float
     alpha_list: tuple
     rows: tuple  # of SweepRow
+
+    @property
+    def exit_code(self) -> int:
+        return _STATUS_EXIT[_gravest(row.status for row in self.rows)]
 
 
 def _now() -> str:
@@ -182,14 +201,6 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
     seed = config.initial_condition.seed if config.initial_condition.kind == "random_band" else 0
     write_checkpoint(checkpoint_path, final.u, cfg.alpha, cfg.nu, seed=seed)
 
-    flags = records[-1].flags
-    if flags.diverged:
-        status = STATUS_DIVERGED
-    elif flags.resolution_loss:
-        status = STATUS_RESOLUTION_LOSS
-    else:
-        status = STATUS_COMPLETED
-
     record = RunRecord(
         config=config.to_dict(),
         started_at=started,
@@ -197,10 +208,11 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
         final_time=final.t,
         final_step=final.step_count,
         final_energy=records[-1].energy,
-        status=status,
+        status=_gravest(records[-1].flags.names()),
         csv_path=csv_path,
         checkpoint_path=checkpoint_path,
         fft_workers=fft_workers,
+        **_fold_records(records, cfg),
     )
     with open(os.path.join(out_dir, "run_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(record), fh, indent=2)
@@ -208,87 +220,89 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
     return record
 
 
+def _fold_records(records, cfg) -> dict:
+    """The outcome fields of a RunRecord, in one pass over the records in order.
+
+    The maxima fold with the builtin max from -inf in record order, so NaN
+    values are skipped and a quantity that is NaN in every record gives -inf.
+    """
+    max_enstrophy = -math.inf
+    max_moments = dict.fromkeys(cfg.moment_orders, -math.inf)
+    first_flag_time = dict.fromkeys(f.name for f in dataclasses.fields(Flags))
+    for rec in records:
+        max_enstrophy = max(max_enstrophy, rec.enstrophy)
+        for m in max_moments:
+            max_moments[m] = max(max_moments[m], *(rec.moments[i][m] for i in range(cfg.n)))
+        for name in rec.flags.names():
+            if first_flag_time[name] is None:
+                first_flag_time[name] = rec.t
+    return {
+        "initial_energy": records[0].energy,
+        "max_enstrophy": max_enstrophy,
+        "max_moments": max_moments,
+        "first_flag_time": first_flag_time,
+    }
+
+
 def run_experiment(config_path, out_dir) -> RunRecord:
     return run_config(load_config(config_path), out_dir)
 
 
 def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
-    """Run the same IC/config across a list of alphas; one row per alpha."""
+    """Run the same IC/config across a list of alphas; one row per alpha.
+
+    Every per-alpha config is built before the output directory is made, so
+    an alpha that no run accepts is a config error that leaves no files.
+    """
     alphas = [float(a) for a in alphas]
     if len(set(alphas)) != len(alphas):
         raise ConfigError("alphas", "duplicate alpha values are not allowed")
     if not alphas:
         raise ConfigError("alphas", "need at least one alpha")
     alphas = sorted(alphas)
+    orders = tuple(sorted({*config.solver.moment_orders, 1.0}))  # rows track max M_1
+    try:
+        subs = [RunConfig(solver=dataclasses.replace(config.solver, alpha=alpha,
+                                                     moment_orders=orders),
+                          initial_condition=config.initial_condition)
+                for alpha in alphas]
+    except ValueError as exc:
+        raise ConfigError("alphas", str(exc)) from exc
     workers, fft_workers = sweep_threads(len(alphas), thread_budget(), config.solver)
     _prepare_out_dir(out_dir)
 
-    base_orders = set(config.solver.moment_orders)
-    base_orders.add(1.0)  # sweep summary tracks max M_1
-
-    def one(alpha: float):
-        solver = dataclasses.replace(
-            config.solver, alpha=alpha,
-            moment_orders=tuple(sorted(base_orders)),
-        )
-        sub = RunConfig(solver=solver, initial_condition=config.initial_condition)
-        sub_dir = os.path.join(out_dir, f"alpha_{alpha:g}")
+    def one(sub: RunConfig) -> SweepRow:
+        sub_dir = os.path.join(out_dir, f"alpha_{sub.solver.alpha:g}")
         record = run_config(sub, sub_dir, fft_workers=fft_workers)
-        return record, _read_row_metrics(record, sub)
+        return _read_row_metrics(record, sub)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, alphas))
+            rows = tuple(pool.map(one, subs))
     else:
-        results = [one(a) for a in alphas]
+        rows = tuple(one(sub) for sub in subs)
 
-    a_lions = float(lions_exponent(config.solver.n))
-    rows = []
-    for alpha, (record, metrics) in zip(alphas, results):
-        rows.append(SweepRow(
-            alpha=alpha,
-            status=record.status,
-            max_enstrophy=metrics["max_enstrophy"],
-            max_m1=metrics["max_m1"],
-            resolution_loss_time=metrics["resolution_loss_time"],
-            energy_ratio=metrics["energy_ratio"],
-            is_lions_exponent=(alpha == a_lions),
-        ))
     summary = SweepSummary(
-        n=config.solver.n, alpha_lions=a_lions,
-        alpha_list=tuple(alphas), rows=tuple(rows),
+        n=config.solver.n, alpha_lions=float(lions_exponent(config.solver.n)),
+        alpha_list=tuple(alphas), rows=rows,
     )
     _write_sweep_files(summary, out_dir)
     return summary
 
 
-def _read_row_metrics(record: RunRecord, config: RunConfig) -> dict:
-    m1_cols = [f"M1_c{i + 1}" for i in range(config.solver.n)]
-    max_enstrophy = -math.inf
-    max_m1 = -math.inf
-    loss_time = None
-    e_first = e_last = None
-    with open(record.csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        col = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            t = float(parts[col["t"]])
-            e = float(parts[col["energy"]])
-            if e_first is None:
-                e_first = e
-            e_last = e
-            max_enstrophy = max(max_enstrophy, float(parts[col["enstrophy"]]))
-            max_m1 = max(max_m1, *(float(parts[col[c]]) for c in m1_cols))
-            flags = parts[col["flags"]]
-            if loss_time is None and "resolution_loss" in flags:
-                loss_time = t
-    return {
-        "max_enstrophy": max_enstrophy,
-        "max_m1": max_m1,
-        "resolution_loss_time": loss_time,
-        "energy_ratio": e_last / e_first if e_first else math.nan,
-    }
+def _read_row_metrics(record: RunRecord, config: RunConfig) -> SweepRow:
+    """The sweep row of one run, from its RunRecord; reads no file."""
+    alpha = config.solver.alpha
+    return SweepRow(
+        alpha=alpha,
+        status=record.status,
+        max_enstrophy=record.max_enstrophy,
+        max_m1=record.max_moments[1.0],
+        resolution_loss_time=record.first_flag_time[STATUS_RESOLUTION_LOSS],
+        energy_ratio=(record.final_energy / record.initial_energy
+                      if record.initial_energy else math.nan),
+        is_lions_exponent=(alpha == float(lions_exponent(config.solver.n))),
+    )
 
 
 def _write_sweep_files(summary: SweepSummary, out_dir) -> None:
@@ -345,7 +359,10 @@ def scale_check(config: RunConfig, q: int,
     u0 = build_initial_field(lattice, config.initial_condition)
 
     # run B zooms, then evolves for rescaled time with rescaled step cap
-    u0_q = apply_discrete_rescale(u0, q, alpha)
+    try:
+        u0_q = apply_discrete_rescale(u0, q, alpha)
+    except ValueError as exc:  # q not a positive integer, or RescaleOverflow
+        raise ConfigError("q", str(exc)) from exc
     time_factor = float(q) ** (2.0 * float(alpha))
     cfg_b = dataclasses.replace(cfg, t_end=cfg.t_end / time_factor,
                                 dt_max=cfg.dt_max / time_factor)
@@ -353,18 +370,9 @@ def scale_check(config: RunConfig, q: int,
         state_a = advance(SolverState(u=u0), cfg)  # run A: evolve, then zoom
         state_b = advance(SolverState(u=u0_q), cfg_b)
 
-    if q == 1:
-        sub = state_a.u
-        dropped = 0.0
-    else:
-        sub_kmax = int(np.ceil(lattice.N / 3.0 / q)) - 1
-        mask = np.ones(lattice.shape, dtype=bool)
-        for g in lattice.mode_grids:
-            mask &= np.abs(g) <= sub_kmax
-        truncated = state_a.u.coeffs * mask
-        e_full = energy(state_a.u)
-        sub = state_a.u.with_coeffs(truncated)
-        dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
+    e_full = energy(state_a.u)
+    sub = sub_ball(state_a.u, q)
+    dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
     rescaled_a = apply_discrete_rescale(sub, q, alpha)
 
     diff = rescaled_a.coeffs - state_b.u.coeffs

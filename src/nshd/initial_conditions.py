@@ -9,6 +9,7 @@ real part before imaginary part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in ("taylor_green", "random_band"):
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
+        for name in ("amplitude", "spectrum_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if self.kind == "random_band":

@@ -136,6 +136,16 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
     return u.with_coeffs(out)
 
 
+def sub_ball(u: SpectralVectorField, q: int) -> SpectralVectorField:
+    """u truncated to |k_j| <= ceil(N/(3q)) - 1, the modes a zoom by q keeps dealiased."""
+    lat = u.lattice
+    sub_kmax = int(np.ceil(lat.N / 3.0 / q)) - 1
+    mask = np.ones(lat.shape, dtype=bool)
+    for g in lat.mode_grids:
+        mask &= np.abs(g) <= sub_kmax
+    return u.with_coeffs(u.coeffs * mask)
+
+
 def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha, n: int) -> float:
     """E(u_q) * q^(-n) / E(u); equals q^(4*alpha-2-n) by Parseval.
 

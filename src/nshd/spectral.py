@@ -363,16 +363,6 @@ def mean_mode(u: SpectralVectorField) -> np.ndarray:
     return u.coeffs[(slice(None),) + (0,) * u.lattice.n]
 
 
-def validate_field(u: SpectralVectorField, hermitian_tol=1e-12, div_tol=None):
-    """Raise ValueError if a solver-state invariant is violated."""
-    if hermitian_defect(u) > hermitian_tol:
-        raise ValueError("field is not Hermitian-symmetric")
-    if np.any(mean_mode(u) != 0):
-        raise ValueError("field has a nonzero mean mode")
-    if div_tol is not None and divergence_defect(u) > div_tol:
-        raise ValueError("field is not divergence-free")
-
-
 def zero_field(lattice: WavenumberLattice, time: float = 0.0) -> SpectralVectorField:
     return SpectralVectorField(
         lattice, np.zeros((lattice.n,) + lattice.shape, dtype=np.complex128), time

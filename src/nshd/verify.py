@@ -41,6 +41,7 @@ from .scaling import (
     lions_exponent,
     scaled_energy_ratio,
     solvability_margin,
+    sub_ball,
 )
 from .spectral import (
     SpectralVectorField,
@@ -364,13 +365,7 @@ def _check_solution_map_commutation(faults):
     u0q = apply_discrete_rescale(u0, q, alpha)
     tf = float(q) ** (2.0 * alpha)
     b_final = _evolve(u0q, alpha, nu, t_end / tf, 2e-3 / tf, faults)[-1]
-    lat = u0.lattice
-    sub_kmax = int(np.ceil(lat.N / 3.0 / q)) - 1
-    mask = np.ones(lat.shape, dtype=bool)
-    for g in lat.mode_grids:
-        mask &= np.abs(g) <= sub_kmax
-    rescaled = apply_discrete_rescale(a_final.with_coeffs(a_final.coeffs * mask),
-                                      q, alpha)
+    rescaled = apply_discrete_rescale(sub_ball(a_final, q), q, alpha)
     num = float(np.sqrt(np.sum(np.abs(rescaled.coeffs - b_final.coeffs) ** 2)))
     den = float(np.sqrt(np.sum(np.abs(b_final.coeffs) ** 2)))
     return _result("solution_map_commutation", num / den, 1e-6)

@@ -1,5 +1,6 @@
 """Config parsing, run artifacts, sweeps, scale-check and CLI exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from nshd.checkpoint import read_checkpoint
 from nshd.cli import main
 from nshd.config import ConfigError, load_config, parse_config
 from nshd.harness import (
+    SweepRow,
+    SweepSummary,
     run_config,
     run_experiment,
     scale_check,
@@ -176,6 +179,82 @@ def test_sweep_single_alpha_matches_run(tmp_path):
     solo_csv = open(solo.csv_path, "rb").read()
     assert sweep_csv == solo_csv
     assert summary.rows[0].status == solo.status
+
+
+def csv_row_metrics(csv_path, n):
+    """Reference sweep-row metrics parsed from a run's diagnostics.csv."""
+    m1_cols = [f"M1_c{i + 1}" for i in range(n)]
+    max_enstrophy = -math.inf
+    max_m1 = -math.inf
+    loss_time = None
+    e_first = e_last = None
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        col = {name: i for i, name in enumerate(header)}
+        for line in fh:
+            parts = line.rstrip("\n").split(",")
+            t = float(parts[col["t"]])
+            e = float(parts[col["energy"]])
+            if e_first is None:
+                e_first = e
+            e_last = e
+            max_enstrophy = max(max_enstrophy, float(parts[col["enstrophy"]]))
+            max_m1 = max(max_m1, *(float(parts[col[c]]) for c in m1_cols))
+            if loss_time is None and "resolution_loss" in parts[col["flags"]]:
+                loss_time = t
+    return {
+        "max_enstrophy": max_enstrophy,
+        "max_m1": max_m1,
+        "resolution_loss_time": loss_time,
+        "energy_ratio": e_last / e_first if e_first else math.nan,
+    }
+
+
+def same_float(a, b):
+    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+
+SWEEP_CASES = {
+    "completed": ({"kind": "random_band", "seed": 3, "band": [1, 4]}, 0.05,
+                  "completed", 0),
+    "resolution_loss": ({"kind": "random_band", "seed": 12, "band": [9, 10]}, 0.02,
+                        "resolution_loss", 3),
+    "diverged": ({"kind": "random_band", "seed": 13, "band": [1, 3], "amplitude": 1e200},
+                 1.0, "diverged", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_match_csv_parse(tmp_path, case):
+    ic, t_end, status, exit_code = SWEEP_CASES[case]
+    path = make_config(tmp_path, initial_condition=ic,
+                       **{"solver.t_end": t_end, "solver.moment_orders": [0, 2]})
+    summary = sweep(load_config(path), [0.9, 1.0], tmp_path / "sw")
+    assert summary.exit_code == exit_code
+    for row in summary.rows:
+        assert row.status == status
+        sub = tmp_path / "sw" / f"alpha_{row.alpha:g}"
+        want = csv_row_metrics(sub / "diagnostics.csv", 2)
+        for key, value in want.items():
+            assert same_float(getattr(row, key), value), (row.alpha, key)
+        outcome = json.loads((sub / "run_summary.json").read_text())
+        assert set(outcome["max_moments"]) == {"0.0", "1.0", "2.0"}
+        assert same_float(outcome["max_moments"]["1.0"], want["max_m1"])
+        assert same_float(outcome["first_flag_time"]["resolution_loss"],
+                          want["resolution_loss_time"])
+        assert (outcome["first_flag_time"]["diverged"] is None) == (status != "diverged")
+    assert main(["sweep", "--config", str(path), "--alphas", "0.9,1.0",
+                 "--out", str(tmp_path / "cli")]) == exit_code
+
+
+def test_sweep_exit_code_is_the_gravest_row():
+    def summary(*statuses):
+        rows = tuple(SweepRow(1.0, s, 0.0, 0.0, None, 1.0, False) for s in statuses)
+        return SweepSummary(n=2, alpha_lions=1.0, alpha_list=(1.0,), rows=rows)
+
+    assert summary("completed", "completed").exit_code == 0
+    assert summary("completed", "resolution_loss").exit_code == 3
+    assert summary("resolution_loss", "diverged", "completed").exit_code == 2
 
 
 # -- scale check --------------------------------------------------------------------
@@ -454,3 +533,50 @@ def test_small_lattices_and_verify_step_on_one_worker(tmp_path, monkeypatch, ste
     results = verify.run_verification()
     assert all(r.passed for r in results)
     assert len(step_workers) > 2 and set(step_workers) == {1}
+
+
+# -- inputs that are config errors -----------------------------------------------------
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400",
+                                     pytest.param("1" + "0" * 400, id="10**400")])
+@pytest.mark.parametrize("key", ["solver.t_end", "solver.alpha",
+                                 "initial_condition.amplitude"])
+def test_non_finite_config_number_exit_1(tmp_path, capsys, key, literal):
+    path = make_config(tmp_path, **{key: "NON_FINITE"})
+    path.write_text(path.read_text().replace('"NON_FINITE"', literal))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["0", "100"])
+def test_cli_scale_check_bad_q_exit_1(tmp_path, capsys, q):
+    path = make_config(tmp_path, **{"solver.t_end": 0.05})
+    assert main(["scale-check", "--config", str(path), "--q", q]) == 1
+    assert "invalid config: q:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["-1", "0", "nan", "inf", "0.9,nan"])
+def test_cli_sweep_bad_alpha_exit_1_without_output(tmp_path, capsys, alphas):
+    path = make_config(tmp_path, **{"solver.t_end": 0.02})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(path), "--alphas", alphas,
+                 "--out", str(out)]) == 1
+    assert "invalid config: alphas:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_exponents_overflowing_alpha_exit_1(capsys):
+    assert main(["exponents", "--n", "3", "--alpha", "1e400"]) == 1
+    assert "invalid --alpha" in capsys.readouterr().err
+
+
+def test_cli_scale_check_prints_the_whole_report(tmp_path, capsys):
+    path = make_config(tmp_path, **{"solver.t_end": 0.05})
+    assert main(["scale-check", "--config", str(path), "--q", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(json.dumps(
+        dataclasses.asdict(scale_check(load_config(path), 2))))
+    assert {"commutation_tolerance", "energy_ratio_tolerance"} <= set(report)

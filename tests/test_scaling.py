@@ -22,6 +22,7 @@ from nshd.scaling import (
     make_scale_transform,
     scaled_energy_ratio,
     solvability_margin,
+    sub_ball,
 )
 from nshd.spectral import build_lattice, divergence_defect, hermitian_defect
 
@@ -127,6 +128,18 @@ def test_rescale_overflow():
     u = make_random_field(seed=63, band=(1, 6), N=32)  # 6 * 2 = 12 >= 32/3
     with pytest.raises(RescaleOverflow):
         apply_discrete_rescale(u, 2, 1.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_sub_ball_keeps_what_a_zoom_keeps_dealiased(q):
+    u = make_random_field(seed=65, band=(1, 9), N=32)
+    sub = sub_ball(u, q)
+    kept = np.ones(u.lattice.shape, dtype=bool)
+    for g in u.lattice.mode_grids:
+        kept &= q * np.abs(g) < 32 / 3
+    np.testing.assert_array_equal(sub.coeffs[:, kept], u.coeffs[:, kept])
+    assert not np.any(sub.coeffs[:, ~kept])
+    apply_discrete_rescale(sub, q, 1.0)  # fits: no RescaleOverflow
 
 
 def test_rescale_requires_integer_q():
