@@ -1,71 +1,22 @@
-"""Pseudo-spectral hyperdissipative Navier-Stokes toolkit on the periodic torus."""
+"""Pseudo-spectral hyperdissipative Navier-Stokes toolkit on the periodic torus.
+
+The package exports the run-level API; array- and field-level helpers are
+imported from their modules (`nshd.spectral`, `nshd.dynamics`, ...).
+"""
 
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .diagnostics import (
-    DiagnosticsRecord,
-    NotEnoughSamples,
-    dissipation_rate,
-    energy,
-    enstrophy,
-    enstrophy_production,
-    max_norm_bound_check,
-    moment_norm,
-    moment_inequality_residual,
-    moment_inequality_scan,
-    sobolev_norm,
-)
-from .dynamics import (
-    Diverged,
-    SolverConfig,
-    SolverState,
-    advance,
-    cfl_dt,
-    compute_pressure,
-    dissipation_symbol,
-    nonlinear_term,
-    step,
-)
+from .diagnostics import energy
 from .harness import (
     RunRecord,
     ScaleCheckReport,
+    SweepRow,
     SweepSummary,
     run_config,
-    run_experiment,
     scale_check,
     sweep,
 )
-from .initial_conditions import (
-    EmptyBand,
-    InitialConditionSpec,
-    build_initial_field,
-    random_band_limited,
-    taylor_green,
-)
-from .scaling import (
-    DegenerateScaling,
-    RescaleOverflow,
-    ScaleTransform,
-    apply_discrete_rescale,
-    gaussian_moment,
-    interpolation_ratio,
-    lions_exponent,
-    make_scale_transform,
-    scaled_energy_ratio,
-    solvability_margin,
-)
-from .spectral import (
-    PhysicalVectorField,
-    SpectralVectorField,
-    WavenumberLattice,
-    build_lattice,
-    dealias,
-    leray_project,
-    spectral_derivative,
-    to_physical,
-    to_spectral,
-    vorticity,
-)
-from .verify import FaultInjection, PropertyResult, run_verification
+from .initial_conditions import build_initial_field
+from .verify import run_verification
 
 __version__ = "0.1.0"

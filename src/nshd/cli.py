@@ -22,7 +22,7 @@ from .harness import (
     EXIT_OK,
     EXIT_OUTPUT,
     OutputError,
-    run_experiment,
+    run_config,
     scale_check,
     sweep,
 )
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    record = run_experiment(args.config, args.out)
+    record = run_config(load_config(args.config), args.out)
     print(f"status: {record.status}")
     print(f"final t = {record.final_time:g}, steps = {record.final_step}, "
           f"energy = {record.final_energy:.12g}")

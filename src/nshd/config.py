@@ -162,12 +162,19 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read and validate a UTF-8 JSON config file.
+
+    A missing file raises FileNotFoundError; a directory, bytes that are not
+    UTF-8 and malformed JSON raise ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                "<file>", f"invalid JSON at line {exc.lineno} column {exc.colno}: "
-                          f"{exc.msg}"
-            ) from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError("<file>", str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            "<file>", f"invalid JSON at line {exc.lineno} column {exc.colno}: "
+                      f"{exc.msg}"
+        ) from exc
     return parse_config(data)

@@ -115,10 +115,8 @@ def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
     )
 
 
-def pressure_moment(u: SpectralVectorField, exponent, p_hat=None) -> float:
-    """sum_k |k|^j |p_hat(k)| for the pressure of u."""
-    if p_hat is None:
-        p_hat = compute_pressure(u)
+def pressure_moment(u: SpectralVectorField, exponent, p_hat: np.ndarray) -> float:
+    """sum_k |k|^j |p_hat(k)| for the pressure p_hat of u (`compute_pressure`)."""
     kmod = u.lattice.kmod_array
     weights = np.ones_like(kmod) if exponent == 0 else kmod ** float(exponent)
     return float(np.sum(weights * np.abs(p_hat)))
@@ -242,12 +240,6 @@ def moment_inequality_scan(records, component: int, m: int, alpha: float, nu: fl
         out.append(MomentInequalitySample(rec.t, component, float(m), lhs, rhs,
                                rhs - lhs, tol, one_sided))
     return out
-
-
-def moment_inequality_residual(records, component: int, m: int, alpha: float, nu: float) -> MomentInequalitySample:
-    """Residual at the center record of a window of >= 3 records."""
-    samples = moment_inequality_scan(records, component, m, alpha, nu)
-    return samples[len(samples) // 2]
 
 
 # -- the max-norm vs moment bound ------------------------------------------------

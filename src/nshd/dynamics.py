@@ -95,8 +95,12 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverState:
     u: SpectralVectorField
-    t: float = 0.0
     step_count: int = 0
+
+    @property
+    def t(self) -> float:
+        """The time of the state, which the field carries."""
+        return self.u.time
 
 
 def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> np.ndarray:
@@ -122,11 +126,6 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray, *,
     out = leray_project_coeffs(lattice, out)
     out[(slice(None),) + (0,) * n] = 0.0
     return -out
-
-
-def nonlinear_term(u: SpectralVectorField, *, dealias: bool = True) -> SpectralVectorField:
-    rhs = nonlinear_rhs(u.lattice, u.coeffs, dealias=dealias)
-    return u.with_coeffs(full_spectrum(rhs, u.lattice.n))
 
 
 def compute_pressure(u: SpectralVectorField) -> np.ndarray:
@@ -204,11 +203,8 @@ def step(state: SolverState, dt: float, cfg: SolverConfig,
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise Diverged(t_new, state.step_count + 1)
-    return SolverState(
-        u=SpectralVectorField(lat, full_spectrum(new, lat.n), t_new),
-        t=t_new,
-        step_count=state.step_count + 1,
-    )
+    return SolverState(u=SpectralVectorField(lat, full_spectrum(new, lat.n), t_new),
+                       step_count=state.step_count + 1)
 
 
 def cfl_dt(u: SpectralVectorField, cfg: SolverConfig) -> float:
@@ -246,20 +242,16 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
         try:
             state = step(state, dt, cfg, symbol=symbol)
         except Diverged:
-            t_bad = state.t + dt
             state = SolverState(
-                u=state.u.with_coeffs(state.u.coeffs * np.nan, time=t_bad),
-                t=t_bad,
+                u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),
                 step_count=state.step_count + 1,
             )
             emit(state, dt)
             return state
         if abs(state.t - cfg.t_end) <= eps:
             # snap the time label; the step sizes already sum to t_end
-            state = SolverState(
-                u=state.u.with_coeffs(state.u.coeffs, time=cfg.t_end),
-                t=cfg.t_end, step_count=state.step_count,
-            )
+            state = SolverState(u=state.u.with_coeffs(state.u.coeffs, time=cfg.t_end),
+                                step_count=state.step_count)
         if state.step_count % cfg.diag_stride == 0:
             emit(state, dt)
             last_emitted = state.step_count

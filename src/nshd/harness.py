@@ -7,9 +7,11 @@ Each run writes three artifacts into its output directory:
 
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
 2 diverged, 3 resolution loss, 4 unwritable output.  A run's status is the
-gravest flag of its last record, a sweep's exit code that of its gravest
-row, by the one order diverged > resolution_loss > completed.  Sweep rows
-come from the RunRecord that `run_config` folds from its in-memory records.
+gravest flag carried by any of its records, a sweep's exit code that of its
+gravest row, by the one order diverged > resolution_loss > completed.  The
+last record's own flags stay in the last row of diagnostics.csv.  Sweep rows
+come from the RunRecord that `run_config` folds from its in-memory records;
+each alpha runs in its own directory `alpha_{alpha:g}`.
 
 Threads are decided here and nowhere else.  The budget is `NSHD_THREADS`
 (a positive integer) if set, else the usable CPUs, and never more than the
@@ -38,12 +40,13 @@ import numpy as np
 import scipy.fft
 
 from .checkpoint import write_checkpoint
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig
 from .diagnostics import Flags, csv_header, csv_row, energy
 from .dynamics import SolverState, advance
 from .initial_conditions import build_initial_field
 from .scaling import (
     apply_discrete_rescale,
+    expected_energy_ratio,
     lions_exponent,
     scaled_energy_ratio,
     sub_ball,
@@ -60,6 +63,8 @@ EXIT_RESOLUTION_LOSS = 3
 EXIT_OUTPUT = 4
 
 FFT_THREAD_POINTS = 2 ** 18  # smallest lattice whose runs transform on the budget
+COMMUTATION_TOL = 1e-6  # scale-check pass bounds, relative
+ENERGY_RATIO_TOL = 1e-12
 
 _STATUS_EXIT = {
     STATUS_COMPLETED: EXIT_OK,
@@ -183,7 +188,7 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
     started = _now()
     lattice = cfg.make_lattice()
     u0 = build_initial_field(lattice, config.initial_condition)
-    state = SolverState(u=u0, t=u0.time, step_count=0)
+    state = SolverState(u=u0)
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     records = []
@@ -201,6 +206,7 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
     seed = config.initial_condition.seed if config.initial_condition.kind == "random_band" else 0
     write_checkpoint(checkpoint_path, final.u, cfg.alpha, cfg.nu, seed=seed)
 
+    outcome = _fold_records(records, cfg)
     record = RunRecord(
         config=config.to_dict(),
         started_at=started,
@@ -208,11 +214,12 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
         final_time=final.t,
         final_step=final.step_count,
         final_energy=records[-1].energy,
-        status=_gravest(records[-1].flags.names()),
+        status=_gravest(name for name, t in outcome["first_flag_time"].items()
+                        if t is not None),
         csv_path=csv_path,
         checkpoint_path=checkpoint_path,
         fft_workers=fft_workers,
-        **_fold_records(records, cfg),
+        **outcome,
     )
     with open(os.path.join(out_dir, "run_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(record), fh, indent=2)
@@ -244,22 +251,22 @@ def _fold_records(records, cfg) -> dict:
     }
 
 
-def run_experiment(config_path, out_dir) -> RunRecord:
-    return run_config(load_config(config_path), out_dir)
-
-
 def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
     """Run the same IC/config across a list of alphas; one row per alpha.
 
-    Every per-alpha config is built before the output directory is made, so
-    an alpha that no run accepts is a config error that leaves no files.
+    Each run writes into `alpha_{alpha:g}` under out_dir.  Every per-alpha
+    config and directory name is checked before the output directory is
+    made, so an alpha that no run accepts, or two alphas that share a
+    directory name, is a config error that leaves no files.
     """
-    alphas = [float(a) for a in alphas]
-    if len(set(alphas)) != len(alphas):
-        raise ConfigError("alphas", "duplicate alpha values are not allowed")
+    alphas = sorted(float(a) for a in alphas)
     if not alphas:
         raise ConfigError("alphas", "need at least one alpha")
-    alphas = sorted(alphas)
+    dirs = [f"alpha_{a:g}" for a in alphas]
+    for name in dirs:
+        if dirs.count(name) > 1:
+            same = ", ".join(repr(a) for a, d in zip(alphas, dirs) if d == name)
+            raise ConfigError("alphas", f"duplicate run directory {name} for alphas {same}")
     orders = tuple(sorted({*config.solver.moment_orders, 1.0}))  # rows track max M_1
     try:
         subs = [RunConfig(solver=dataclasses.replace(config.solver, alpha=alpha,
@@ -271,16 +278,15 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
     workers, fft_workers = sweep_threads(len(alphas), thread_budget(), config.solver)
     _prepare_out_dir(out_dir)
 
-    def one(sub: RunConfig) -> SweepRow:
-        sub_dir = os.path.join(out_dir, f"alpha_{sub.solver.alpha:g}")
-        record = run_config(sub, sub_dir, fft_workers=fft_workers)
+    def one(sub: RunConfig, name: str) -> SweepRow:
+        record = run_config(sub, os.path.join(out_dir, name), fft_workers=fft_workers)
         return _read_row_metrics(record, sub)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one, subs))
+            rows = tuple(pool.map(one, subs, dirs))
     else:
-        rows = tuple(one(sub) for sub in subs)
+        rows = tuple(map(one, subs, dirs))
 
     summary = SweepSummary(
         n=config.solver.n, alpha_lions=float(lions_exponent(config.solver.n)),
@@ -343,9 +349,7 @@ class ScaleCheckReport:
         return self.commutation_pass and self.energy_ratio_pass
 
 
-def scale_check(config: RunConfig, q: int,
-                commutation_tol: float = 1e-6,
-                energy_tol: float = 1e-12) -> ScaleCheckReport:
+def scale_check(config: RunConfig, q: int) -> ScaleCheckReport:
     """Solution-map commutation and energy-scaling checks for zoom factor q.
 
     Evolving for t_end and then zooming must agree with zooming first and
@@ -380,18 +384,18 @@ def scale_check(config: RunConfig, q: int,
     discrepancy = float(np.sqrt(np.sum(np.abs(diff) ** 2)) / scale) if scale else 0.0
 
     ratio = scaled_energy_ratio(u0, q, alpha, cfg.n)
-    expected = float(q) ** (4.0 * float(alpha) - 2.0 - cfg.n)
+    expected = expected_energy_ratio(q, alpha, cfg.n)
     ratio_err = abs(ratio - expected) / expected
 
     return ScaleCheckReport(
         q=int(q), alpha=float(alpha), n=cfg.n, t_end=cfg.t_end,
         commutation_discrepancy=discrepancy,
         truncated_tail_fraction=dropped,
-        commutation_tolerance=commutation_tol,
-        commutation_pass=discrepancy <= commutation_tol,
+        commutation_tolerance=COMMUTATION_TOL,
+        commutation_pass=discrepancy <= COMMUTATION_TOL,
         energy_ratio=ratio,
         energy_ratio_expected=expected,
         energy_ratio_error=ratio_err,
-        energy_ratio_tolerance=energy_tol,
-        energy_ratio_pass=ratio_err <= energy_tol,
+        energy_ratio_tolerance=ENERGY_RATIO_TOL,
+        energy_ratio_pass=ratio_err <= ENERGY_RATIO_TOL,
     )

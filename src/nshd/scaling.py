@@ -17,7 +17,6 @@ that produces the (ell + n/2)/(m + n/2) exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +27,6 @@ from .spectral import SpectralVectorField
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
-
-
-class DegenerateScaling(ValueError):
-    """The rescaling symmetry is undefined at alpha <= 1/2."""
 
 
 class RescaleOverflow(ValueError):
@@ -62,41 +57,6 @@ def solvability_margin(n: int, alpha):
     else:
         label = SUPERCRITICAL
     return margin, label
-
-
-@dataclass(frozen=True)
-class ScaleTransform:
-    """Amplitude factor lam with derived space/time factors and energy exponent.
-
-    mu = lam^(1/(2*alpha-1)), tau = lam^(2*alpha/(2*alpha-1));
-    energy_exponent_q = 4*alpha - 2 - n in zoom units q = 1/mu, zero iff
-    alpha = alpha_L(n).
-    """
-
-    lam: float
-    alpha: float
-    n: int
-    mu: float
-    tau: float
-    energy_exponent_q: object  # Fraction when alpha is rational, else float
-
-
-def make_scale_transform(lam, alpha, n: int) -> ScaleTransform:
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    if not alpha > 0.5:
-        raise DegenerateScaling(
-            f"scale transform undefined for alpha <= 1/2 (got alpha={alpha})"
-        )
-    denom = 2.0 * float(alpha) - 1.0
-    mu = float(lam) ** (1.0 / denom)
-    tau = float(lam) ** (2.0 * float(alpha) / denom)
-    if isinstance(alpha, (Fraction, int)):
-        exponent = 4 * Fraction(alpha) - 2 - n
-    else:
-        exponent = 4.0 * alpha - 2.0 - n
-    return ScaleTransform(lam=float(lam), alpha=float(alpha), n=int(n),
-                          mu=mu, tau=tau, energy_exponent_q=exponent)
 
 
 def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVectorField:
@@ -146,8 +106,13 @@ def sub_ball(u: SpectralVectorField, q: int) -> SpectralVectorField:
     return u.with_coeffs(u.coeffs * mask)
 
 
+def expected_energy_ratio(q: int, alpha, n: int) -> float:
+    """q^(4*alpha-2-n): the energy ratio of a zoom by q, 1 iff alpha = alpha_L(n)."""
+    return float(q) ** (4.0 * float(alpha) - 2.0 - n)
+
+
 def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha, n: int) -> float:
-    """E(u_q) * q^(-n) / E(u); equals q^(4*alpha-2-n) by Parseval.
+    """E(u_q) * q^(-n) / E(u); equals `expected_energy_ratio` by Parseval.
 
     The q^(-n) factor restores the R^n change-of-variables Jacobian that the
     fixed torus lacks, so criticality reads off the ratio directly.

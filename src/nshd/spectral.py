@@ -1,4 +1,4 @@
-"""Fourier lattice, spectral/physical vector fields, and the basic spectral operators.
+"""Fourier lattice, the spectral vector field, transforms and the basic spectral operators.
 
 Everything lives on the periodic torus [0, 2*pi)^n with integer wavenumbers in
 standard FFT ordering (0, 1, ..., N/2-1, -N/2, ..., -1) per axis.  Coefficients
@@ -34,14 +34,13 @@ class WavenumberLattice:
         Spatial dimension, 2 or 3.
     N : int
         Modes (and grid points) per axis; even, 8 <= N <= 512.
-    domain_length : float
-        Physical period.  The diagnostic identities in this package are
-        quoted for the default 2*pi.
+
+    The period is 2*pi on every axis, which is what makes the wavenumbers
+    integers.
     """
 
     n: int
     N: int
-    domain_length: float = TWO_PI
 
     # cached arrays, filled in __post_init__
     modes_1d: np.ndarray = field(init=False, repr=False, compare=False)
@@ -58,13 +57,13 @@ class WavenumberLattice:
         if not 8 <= self.N <= 512:
             raise ValueError(f"N must satisfy 8 <= N <= 512, got N={self.N}")
         modes = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-        grids = self.mode_grids_from(modes)
+        object.__setattr__(self, "modes_1d", modes)
+        grids = self.mode_grids
         ksq = sum(g.astype(np.float64) ** 2 for g in grids)
         mask = np.ones((self.N,) * self.n, dtype=bool)
         cut = self.N / 3.0
         for g in grids:
             mask &= np.abs(g) < cut
-        object.__setattr__(self, "modes_1d", modes)
         ksq = np.broadcast_to(ksq, self.shape).copy()
         inv_ksq = np.divide(1.0, ksq, out=np.zeros(self.shape), where=ksq > 0)
         object.__setattr__(self, "ksq_array", ksq)
@@ -72,14 +71,10 @@ class WavenumberLattice:
         object.__setattr__(self, "kmod_array", np.sqrt(ksq))
         object.__setattr__(self, "dealias_mask_array", mask)
 
-    def mode_grids_from(self, modes):
-        # sparse meshgrid: n arrays broadcastable to the full grid shape
-        return np.meshgrid(*([modes] * self.n), indexing="ij", sparse=True)
-
     @property
     def mode_grids(self):
         """Sparse integer mode arrays (k_1, ..., k_n), broadcastable to `shape`."""
-        return self.mode_grids_from(self.modes_1d)
+        return np.meshgrid(*([self.modes_1d] * self.n), indexing="ij", sparse=True)
 
     @property
     def shape(self):
@@ -91,7 +86,7 @@ class WavenumberLattice:
 
     @property
     def dx(self) -> float:
-        return self.domain_length / self.N
+        return TWO_PI / self.N
 
     @property
     def cell_volume(self) -> float:
@@ -99,28 +94,7 @@ class WavenumberLattice:
 
     @property
     def volume(self) -> float:
-        return self.domain_length**self.n
-
-    def grid_axes(self):
-        """Physical coordinates along one axis (shared by all axes)."""
-        return np.arange(self.N) * self.dx
-
-    def k_of(self, index: int):
-        """Integer mode vector for a flat row-major index."""
-        return tuple(
-            int(self.modes_1d[j]) for j in np.unravel_index(index, self.shape)
-        )
-
-    def kmod(self, index: int) -> float:
-        return float(self.kmod_array.flat[index])
-
-    def dealias_mask(self, index: int) -> bool:
-        return bool(self.dealias_mask_array.flat[index])
-
-    def conjugate_index_arrays(self):
-        """Per-axis index arrays mapping mode k to mode -k (mod N)."""
-        idx = (-np.arange(self.N)) % self.N
-        return (idx,) * self.n
+        return TWO_PI**self.n
 
 
 def build_lattice(n: int, N: int) -> WavenumberLattice:
@@ -151,28 +125,8 @@ class SpectralVectorField:
                 f"shape {expected}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.lattice.n
-
     def with_coeffs(self, coeffs, time=None) -> "SpectralVectorField":
         return replace(self, coeffs=coeffs, time=self.time if time is None else time)
-
-
-@dataclass(frozen=True)
-class PhysicalVectorField:
-    """Velocity samples on the uniform N^n grid, shape (n, N, ..., N)."""
-
-    lattice: WavenumberLattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.lattice.n,) + self.lattice.shape
-        if self.values.shape != expected:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match lattice "
-                f"shape {expected}"
-            )
 
 
 # -- array-level transforms (leading axes are batched) ------------------------
@@ -213,12 +167,9 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     """Hermitian completion of a k_n >= 0 half spectrum over the trailing n axes.
 
     The modes k_n < 0 are filled with conj(c(-k)); the half itself, including
-    its k_n = 0 and k_n = N/2 planes, is copied unchanged.  Full-width input
-    (last axis N) is returned unchanged.
+    its k_n = 0 and k_n = N/2 planes, is copied unchanged.
     """
     N = half.shape[-2]
-    if half.shape[-1] == N:
-        return half
     w = N // 2 + 1
     full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
     full[..., :w] = half
@@ -254,15 +205,6 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
             np.multiply(ik[j], c, out=batch[m + n * i + j])
     phys = coeffs_to_grid(batch, n)
     return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
-
-
-def to_spectral(f: PhysicalVectorField) -> SpectralVectorField:
-    n = f.lattice.n
-    return SpectralVectorField(f.lattice, full_spectrum(grid_to_coeffs(f.values, n), n))
-
-
-def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
-    return PhysicalVectorField(u.lattice, coeffs_to_grid(u.coeffs, u.lattice.n))
 
 
 # -- operators ----------------------------------------------------------------
@@ -336,9 +278,9 @@ def vorticity(u: SpectralVectorField):
 
 def hermitian_conjugate(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
     """conj(c(-k)) with the trailing n axes index-reversed mod N."""
-    idx = lattice.conjugate_index_arrays()
+    idx = (-np.arange(lattice.N)) % lattice.N  # mode k -> mode -k (mod N)
     lead = coeffs.ndim - lattice.n
-    sel = (slice(None),) * lead + np.ix_(*idx)
+    sel = (slice(None),) * lead + np.ix_(*((idx,) * lattice.n))
     return np.conj(coeffs[sel])
 
 
@@ -357,13 +299,3 @@ def divergence_defect(u: SpectralVectorField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(div))) / scale
-
-
-def mean_mode(u: SpectralVectorField) -> np.ndarray:
-    return u.coeffs[(slice(None),) + (0,) * u.lattice.n]
-
-
-def zero_field(lattice: WavenumberLattice, time: float = 0.0) -> SpectralVectorField:
-    return SpectralVectorField(
-        lattice, np.zeros((lattice.n,) + lattice.shape, dtype=np.complex128), time
-    )

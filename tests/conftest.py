@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
-from nshd.spectral import build_lattice
+from nshd.spectral import SpectralVectorField, build_lattice
 
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None,
@@ -31,5 +31,16 @@ def make_random_field(n=2, N=32, seed=0, band=(1, 4), amplitude=1.0, slope=0.0):
 
 def grid_coords(lattice):
     """Meshgrid of physical coordinates, shape (n, N, ..., N)."""
-    axes = [lattice.grid_axes()] * lattice.n
-    return np.stack(np.meshgrid(*axes, indexing="ij"))
+    axis = np.arange(lattice.N) * lattice.dx
+    return np.stack(np.meshgrid(*[axis] * lattice.n, indexing="ij"))
+
+
+def zero_field(lattice, time=0.0):
+    return SpectralVectorField(
+        lattice, np.zeros((lattice.n,) + lattice.shape, dtype=np.complex128), time
+    )
+
+
+def mean_mode(u):
+    """The k = 0 coefficient of every component."""
+    return u.coeffs[(slice(None),) + (0,) * u.lattice.n]

@@ -50,6 +50,21 @@ def test_transforms_take_values_and_n_positionally(layers):
         assert [p.kind for p in params[:2]] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
 
 
+def test_package_attributes_used_by_the_benchmark_resolve():
+    # perfbench reaches nshd's run-level API as attributes of the package
+    nshd = importlib.import_module("nshd")
+    used = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "nshd"}
+    assert {"load_config", "build_initial_field", "run_config", "sweep",
+            "run_verification", "read_checkpoint", "write_checkpoint", "energy",
+            "dynamics", "verify"} <= used
+    assert sorted(name for name in used if not hasattr(nshd, name)) == []
+
+
 def test_workload_calls_still_bind():
     # perfbench/workloads.call passes positional arguments only; any parameter
     # beyond them must be keyword-only with a default

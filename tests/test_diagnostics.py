@@ -16,7 +16,6 @@ from nshd.diagnostics import (
     enstrophy_production,
     max_norm_bound_check,
     moment_norm,
-    moment_inequality_residual,
     moment_inequality_rhs,
     moment_inequality_scan,
     sobolev_norm,
@@ -24,9 +23,9 @@ from nshd.diagnostics import (
 )
 from nshd.dynamics import SolverConfig, SolverState, advance
 from nshd.initial_conditions import taylor_green
-from nshd.spectral import SpectralVectorField, build_lattice, zero_field
+from nshd.spectral import SpectralVectorField, build_lattice
 
-from conftest import make_random_field
+from conftest import make_random_field, zero_field
 
 
 # -- scalar diagnostics ----------------------------------------------------------
@@ -178,7 +177,8 @@ def test_moment_inequality_zero_field():
                        moment_orders=(0.0, 1.0, 2.0, 3.0, 4.0))
     recs = [compute_diagnostics(zero_field(lat, time=0.1 * j), cfg, step=j)
             for j in range(3)]
-    sample = moment_inequality_residual(recs, 0, 0, 1.0, 1.0)
+    samples = moment_inequality_scan(recs, 0, 0, 1.0, 1.0)
+    sample = samples[len(samples) // 2]
     assert sample.lhs == 0.0 and sample.rhs == 0.0 and sample.residual == 0.0
     assert sample.satisfied
 
@@ -186,7 +186,7 @@ def test_moment_inequality_zero_field():
 def test_moment_inequality_requires_three_records():
     records = _tg_records()
     with pytest.raises(NotEnoughSamples):
-        moment_inequality_residual(records[:2], 0, 0, 1.0, 1.0)
+        moment_inequality_scan(records[:2], 0, 0, 1.0, 1.0)
 
 
 def test_moment_inequality_missing_moment_order_is_informative():
@@ -199,7 +199,7 @@ def test_moment_inequality_missing_moment_order_is_informative():
         for j in range(3)
     ]
     with pytest.raises(ValueError, match="moment order"):
-        moment_inequality_residual(recs, 0, 1, 1.0, 1.0)  # needs order 3 = 2a + 1
+        moment_inequality_scan(recs, 0, 1, 1.0, 1.0)  # needs order 3 = 2a + 1
 
 
 # -- max-norm bound ------------------------------------------------------------------

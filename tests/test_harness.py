@@ -18,7 +18,6 @@ from nshd.harness import (
     SweepRow,
     SweepSummary,
     run_config,
-    run_experiment,
     scale_check,
     sweep,
     sweep_threads,
@@ -104,7 +103,7 @@ def test_run_taylor_green_artifacts(tmp_path):
     path = make_config(tmp_path, **{"solver.N": 64, "solver.t_end": 1.0,
                                     "solver.diag_stride": 20})
     out = tmp_path / "out"
-    record = run_experiment(path, out)
+    record = run_config(load_config(path), out)
     assert record.status == "completed"
     assert record.exit_code == 0
     assert math.isclose(record.final_energy, math.pi**2 * math.exp(-4.0),
@@ -122,7 +121,7 @@ def test_run_taylor_green_artifacts(tmp_path):
 
 def test_run_t_end_zero_single_row(tmp_path):
     path = make_config(tmp_path, **{"solver.t_end": 0.0})
-    record = run_experiment(path, tmp_path / "out0")
+    record = run_config(load_config(path), tmp_path / "out0")
     assert record.status == "completed"
     lines = (tmp_path / "out0" / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 2  # header + exactly one data row
@@ -134,8 +133,8 @@ def test_run_determinism_bit_exact(tmp_path):
         initial_condition={"kind": "random_band", "seed": 99, "band": [1, 4],
                            "amplitude": 0.8},
     )
-    a = run_experiment(path, tmp_path / "a")
-    b = run_experiment(path, tmp_path / "b")
+    a = run_config(load_config(path), tmp_path / "a")
+    b = run_config(load_config(path), tmp_path / "b")
     csv_a = open(a.csv_path, "rb").read()
     csv_b = open(b.csv_path, "rb").read()
     assert csv_a == csv_b
@@ -391,10 +390,29 @@ def test_run_resolution_loss_exit_3(tmp_path):
         initial_condition={"kind": "random_band", "seed": 12, "band": [9, 10]},
         **{"solver.t_end": 0.02},
     )
-    record = run_experiment(path, tmp_path / "hot")
+    record = run_config(load_config(path), tmp_path / "hot")
     assert record.status == "resolution_loss"
     assert record.exit_code == 3
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "hot2")])
+    assert code == 3
+
+
+def test_run_status_is_the_gravest_flag_of_any_record(tmp_path):
+    # the band decays below the resolution-loss threshold within the run:
+    # records 0 and 10 carry the flag, the final record does not
+    path = make_config(
+        tmp_path,
+        initial_condition={"kind": "random_band", "seed": 12, "band": [9, 10]},
+        **{"solver.t_end": 0.3, "solver.diag_stride": 10},
+    )
+    record = run_config(load_config(path), tmp_path / "cooled")
+    flags = [line.rsplit(",", 1)[1] for line in
+             Path(record.csv_path).read_text().splitlines()[1:]]
+    assert flags[0] == "resolution_loss" and flags[-1] == ""
+    assert record.first_flag_time["resolution_loss"] == 0.0
+    assert record.status == "resolution_loss"
+    assert record.exit_code == 3
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "cooled2")])
     assert code == 3
 
 
@@ -407,7 +425,7 @@ def test_run_diverged_exit_2(tmp_path):
                            "amplitude": 1e200},
         **{"solver.t_end": 1.0},
     )
-    record = run_experiment(path, tmp_path / "boom")
+    record = run_config(load_config(path), tmp_path / "boom")
     assert record.status == "diverged"
     assert record.exit_code == 2
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "boom2")])
@@ -558,13 +576,27 @@ def test_cli_scale_check_bad_q_exit_1(tmp_path, capsys, q):
     assert "invalid config: q:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alphas", ["-1", "0", "nan", "inf", "0.9,nan"])
+@pytest.mark.parametrize("alphas", ["-1", "0", "nan", "inf", "0.9,nan",
+                                    "1.0,1.0000001"])  # last: one alpha_1 directory
 def test_cli_sweep_bad_alpha_exit_1_without_output(tmp_path, capsys, alphas):
     path = make_config(tmp_path, **{"solver.t_end": 0.02})
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(path), "--alphas", alphas,
                  "--out", str(out)]) == 1
     assert "invalid config: alphas:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_cli_run_unreadable_config_exit_1(tmp_path, capsys, kind):
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + make_config(tmp_path).read_bytes())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "invalid config: <file>:" in capsys.readouterr().err
     assert not out.exists()
 
 

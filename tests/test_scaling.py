@@ -13,20 +13,19 @@ from nshd.scaling import (
     CRITICAL,
     SUBCRITICAL,
     SUPERCRITICAL,
-    DegenerateScaling,
     RescaleOverflow,
     apply_discrete_rescale,
+    expected_energy_ratio,
     gaussian_moment,
     interpolation_ratio,
     lions_exponent,
-    make_scale_transform,
     scaled_energy_ratio,
     solvability_margin,
     sub_ball,
 )
 from nshd.spectral import build_lattice, divergence_defect, hermitian_defect
 
-from conftest import make_random_field
+from conftest import make_random_field, zero_field
 
 
 # -- exponent calculus ------------------------------------------------------------
@@ -60,34 +59,6 @@ def test_margin_zero_exactly_at_lions_exponent():
         margin, label = solvability_margin(n, lions_exponent(n))
         assert margin == 0
         assert label == CRITICAL
-
-
-# -- scale transform ---------------------------------------------------------------
-
-
-def test_make_scale_transform_examples():
-    t = make_scale_transform(2.0, 1.0, 3)
-    assert t.mu == pytest.approx(2.0, rel=1e-15)
-    assert t.tau == pytest.approx(4.0, rel=1e-15)
-    assert t.energy_exponent_q == pytest.approx(-1.0, abs=1e-15)
-
-    t = make_scale_transform(8.0, 1.25, 3)
-    assert t.mu == pytest.approx(4.0, rel=1e-14)
-    assert t.tau == pytest.approx(32.0, rel=1e-14)
-    assert t.energy_exponent_q == pytest.approx(0.0, abs=1e-15)
-
-    # exact rational check at the threshold
-    t = make_scale_transform(7.3, Fraction(5, 4), 3)
-    assert t.energy_exponent_q == 0
-    t = make_scale_transform(7.3, Fraction(1, 1), 2)
-    assert t.energy_exponent_q == 0
-
-
-def test_scale_transform_rejects_degenerate_alpha():
-    with pytest.raises(DegenerateScaling):
-        make_scale_transform(2.0, 0.5, 3)
-    with pytest.raises(ValueError):
-        make_scale_transform(-1.0, 1.0, 3)
 
 
 # -- discrete rescale ----------------------------------------------------------------
@@ -160,8 +131,9 @@ def test_scaled_energy_ratio_exponent(n, N):
             continue
         for alpha in (0.75, 1.0, 1.25, 1.5):
             ratio = scaled_energy_ratio(u, q, alpha, n)
-            assert ratio == pytest.approx(float(q) ** (4 * alpha - 2 - n),
-                                          rel=1e-12)
+            expected = float(q) ** (4 * alpha - 2 - n)
+            assert ratio == pytest.approx(expected, rel=1e-12)
+            assert expected_energy_ratio(q, alpha, n) == expected
 
 
 def test_scaled_energy_ratio_critical_is_one():
@@ -184,8 +156,6 @@ def test_scaled_energy_ratio_2d_parabolic_is_critical():
 
 
 def test_scaled_energy_ratio_rejects_zero_field():
-    from nshd.spectral import zero_field
-
     with pytest.raises(ValueError):
         scaled_energy_ratio(zero_field(build_lattice(2, 16)), 2, 1.0, 2)
 
