@@ -3,8 +3,9 @@
 Subcommands: run, sweep, scale-check, exponents, verify.  Exit codes for
 run/sweep follow the harness taxonomy: 0 completed, 1 invalid config or
 arguments, 2 diverged, 3 resolution loss, 4 unwritable output.  `main` is
-the one place that turns a config error or an unwritable output into an
-exit code.
+the one place that turns a usage error, a config error or an unwritable
+output into an exit code; a usage error exits 1 (not argparse's 2, which
+would read as "diverged").
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
-    except ValueError:
-        print("invalid --alphas list", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError("alphas", f"not a comma-separated list of numbers: "
+                                    f"{args.alphas!r}") from exc
     summary = sweep(load_config(args.config), alphas, args.out)
     print(f"alpha_L({summary.n}) = {summary.alpha_lions:g}")
     for row in summary.rows:
@@ -155,7 +156,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -13,15 +13,17 @@ real field's spectrum and completes its result once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (
+    ConfigError,
     SpectralVectorField,
     WavenumberLattice,
     build_lattice,
+    check_finite,
+    check_grid,
     coeffs_to_grid,
     dealias_coeffs,
     full_spectrum,
@@ -58,35 +60,30 @@ class SolverConfig:
     sobolev_betas: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError(f"n must be 2 or 3, got {self.n}")
-        if self.N % 2 != 0:
-            raise ValueError(f"N must be even, got {self.N}")
-        object.__setattr__(self, "moment_orders",
-                           tuple(float(m) for m in self.moment_orders))
-        object.__setattr__(self, "sobolev_betas",
-                           tuple(float(b) for b in self.sobolev_betas))
+        check_grid(self.n, self.N)
         for name in ("alpha", "nu", "t_end", "cfl_safety", "dt_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not all(map(math.isfinite, self.moment_orders + self.sobolev_betas)):
-            raise ValueError("moment orders and Sobolev exponents must be finite")
+            check_finite(name, getattr(self, name))
+        for name in ("moment_orders", "sobolev_betas"):
+            for v in getattr(self, name):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ConfigError(name, f"entries must be numbers, got {v!r}")
+                check_finite(name, v)
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.inviscid:
             if not self.alpha > 0:
-                raise ValueError("alpha must be positive for viscous runs")
+                raise ConfigError("alpha", "must be positive for viscous runs")
             if not self.nu > 0:
-                raise ValueError("nu must be positive for viscous runs")
+                raise ConfigError("nu", "must be positive for viscous runs")
         if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+            raise ConfigError("t_end", "must be nonnegative")
         if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise ConfigError("cfl_safety", "must lie in (0, 1]")
         if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
+            raise ConfigError("dt_max", "must be positive")
         if self.diag_stride < 1:
-            raise ValueError("diag_stride must be >= 1")
-        for m in self.moment_orders:
-            if m < 0:
-                raise ValueError("moment orders must be nonnegative")
+            raise ConfigError("diag_stride", "must be >= 1")
+        if any(m < 0 for m in self.moment_orders):
+            raise ConfigError("moment_orders", "entries must be nonnegative")
 
     def make_lattice(self) -> WavenumberLattice:
         return build_lattice(self.n, self.N)

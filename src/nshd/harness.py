@@ -273,8 +273,8 @@ def sweep(config: RunConfig, alphas, out_dir) -> SweepSummary:
                                                      moment_orders=orders),
                           initial_condition=config.initial_condition)
                 for alpha in alphas]
-    except ValueError as exc:
-        raise ConfigError("alphas", str(exc)) from exc
+    except ConfigError as exc:
+        raise ConfigError("alphas", f"{exc.field} {exc.reason}") from exc
     workers, fft_workers = sweep_threads(len(alphas), thread_budget(), config.solver)
     _prepare_out_dir(out_dir)
 

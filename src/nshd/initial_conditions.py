@@ -9,14 +9,15 @@ real part before imaginary part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (
+    ConfigError,
     SpectralVectorField,
     WavenumberLattice,
+    check_finite,
     hermitian_conjugate,
     leray_project_coeffs,
 )
@@ -45,18 +46,21 @@ class InitialConditionSpec:
 
     def __post_init__(self):
         if self.kind not in ("taylor_green", "random_band"):
-            raise ValueError(f"unknown initial condition kind {self.kind!r}")
+            raise ConfigError("kind",
+                              f"must be 'taylor_green' or 'random_band', got {self.kind!r}")
         for name in ("amplitude", "spectrum_slope"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            check_finite(name, getattr(self, name))
         if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+            raise ConfigError("amplitude", "must be positive")
+        if len(self.band) != 2 or not all(type(k) is int for k in self.band):  # no bool
+            raise ConfigError("band", "must be a pair of integers [k_min, k_max]")
+        object.__setattr__(self, "band", tuple(self.band))
         if self.kind == "random_band":
             k_min, k_max = self.band
-            if int(k_min) != k_min or int(k_max) != k_max:
-                raise ValueError("band bounds must be integers")
             if not 1 <= k_min <= k_max:
-                raise ValueError(f"invalid band {self.band}: need 1 <= k_min <= k_max")
+                raise ConfigError("band", f"need 1 <= k_min <= k_max, got {list(self.band)}")
+            if not 0 <= self.seed < 2**64:  # the Philox key and the checkpoint's u64
+                raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
 
 
 def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> SpectralVectorField:

@@ -8,6 +8,9 @@ follow the Fourier-series convention
 
 so Parseval reads  integral |f|^2 dx = (2*pi)^n * sum_k |c(k)|^2.
 
+The module also holds ConfigError and the grid bounds (`check_grid`), since
+it is the lowest module the config dataclasses import.
+
 All operations here are pure functions: fields are treated as immutable values
 and every operation returns a fresh field, so values can be shared freely
 between threads.
@@ -16,12 +19,37 @@ between threads.
 from __future__ import annotations
 
 import itertools
+import reprlib
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as _fft
 
 TWO_PI = 2.0 * np.pi
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; `field` names the offending entry, `reason` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def check_finite(name: str, value) -> None:
+    """Raise ConfigError(name, ...) unless `value` is a finite number in float range."""
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, +-inf, 10**400
+        raise ConfigError(name, f"must be finite, got {reprlib.repr(value)}")
+
+
+def check_grid(n, N) -> None:
+    """Raise ConfigError unless n is 2 or 3 and N is even with 8 <= N <= 512."""
+    if n not in (2, 3):
+        raise ConfigError("n", f"must be 2 or 3, got {n!r}")
+    if not (N % 2 == 0 and 8 <= N <= 512):
+        raise ConfigError("N", f"must be even with 8 <= N <= 512, got {N!r}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +78,7 @@ class WavenumberLattice:
     dealias_mask_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError(f"unsupported dimension n={self.n}; expected 2 or 3")
-        if self.N % 2 != 0:
-            raise ValueError(f"N must be even, got N={self.N}")
-        if not 8 <= self.N <= 512:
-            raise ValueError(f"N must satisfy 8 <= N <= 512, got N={self.N}")
+        check_grid(self.n, self.N)
         modes = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
         object.__setattr__(self, "modes_1d", modes)
         grids = self.mode_grids
@@ -264,13 +287,11 @@ def vorticity(u: SpectralVectorField):
     c = u.coeffs
     if lat.n == 2:
         return 1j * (g[0] * c[1] - g[1] * c[0])
-    if lat.n == 3:
-        w = np.empty_like(c)
-        w[0] = 1j * (g[1] * c[2] - g[2] * c[1])
-        w[1] = 1j * (g[2] * c[0] - g[0] * c[2])
-        w[2] = 1j * (g[0] * c[1] - g[1] * c[0])
-        return SpectralVectorField(lat, w, u.time)
-    raise ValueError(f"vorticity requires n in (2, 3), got n={lat.n}")
+    w = np.empty_like(c)
+    w[0] = 1j * (g[1] * c[2] - g[2] * c[1])
+    w[1] = 1j * (g[2] * c[0] - g[0] * c[2])
+    w[2] = 1j * (g[0] * c[1] - g[1] * c[0])
+    return SpectralVectorField(lat, w, u.time)
 
 
 # -- invariant helpers (used by tests and the verification suite) --------------

@@ -577,7 +577,8 @@ def test_cli_scale_check_bad_q_exit_1(tmp_path, capsys, q):
 
 
 @pytest.mark.parametrize("alphas", ["-1", "0", "nan", "inf", "0.9,nan",
-                                    "1.0,1.0000001"])  # last: one alpha_1 directory
+                                    "1.0,1.0000001",  # one alpha_1 directory
+                                    "1.0,abc"])  # not a list of numbers
 def test_cli_sweep_bad_alpha_exit_1_without_output(tmp_path, capsys, alphas):
     path = make_config(tmp_path, **{"solver.t_end": 0.02})
     out = tmp_path / "sw"
@@ -585,6 +586,43 @@ def test_cli_sweep_bad_alpha_exit_1_without_output(tmp_path, capsys, alphas):
                  "--out", str(out)]) == 1
     assert "invalid config: alphas:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("key,value", [
+    ("solver.N", 4),
+    ("solver.N", 1024),
+    ("initial_condition.seed", -1),  # Philox rejects it, after --out exists
+    ("initial_condition.seed", 2**64),  # the checkpoint stores a u64, after the run
+])
+def test_cli_out_of_bounds_config_exit_1_without_output(tmp_path, capsys, command,
+                                                        key, value):
+    ic = {"kind": "random_band", "seed": 1, "band": [1, 3]}
+    path = make_config(tmp_path, initial_condition=ic, **{key: value})
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--alphas", "0.9,1.1"]
+    assert main(argv) == 1
+    assert f"invalid config: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["simulate"],
+    ["run", "--config", "run.json"],
+    ["scale-check", "--config", "run.json", "--q", "abc"],
+    ["exponents", "--n", "abc"],
+], ids=["no_command", "unknown_command", "run_without_out", "q_not_int", "n_not_int"])
+def test_cli_usage_error_exit_1(capsys, argv):
+    assert main(argv) == 1  # argparse's own code, 2, would read as "diverged"
+    assert "usage: nshd" in capsys.readouterr().err
+
+
+def test_cli_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: nshd" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
