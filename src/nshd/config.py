@@ -82,7 +82,7 @@ def parse_config(data: dict) -> RunConfig:
         if key not in ("schema_version", *_SECTIONS):
             raise ConfigError(key, "unknown key")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
         raise ConfigError("schema_version",
                           f"expected {SCHEMA_VERSION}, got {version!r}")
     for name in _SECTIONS:

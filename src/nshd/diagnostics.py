@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,18 +34,7 @@ class NotEnoughSamples(ValueError):
     """A monitor was asked to differentiate fewer than three records."""
 
 
-@dataclass(frozen=True)
-class Flags:
-    diverged: bool = False
-    resolution_loss: bool = False
-
-    def names(self):
-        out = []
-        if self.diverged:
-            out.append("diverged")
-        if self.resolution_loss:
-            out.append("resolution_loss")
-        return out
+FLAGS = ("diverged", "resolution_loss")  # the run flags, gravest first
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,7 @@ class DiagnosticsRecord:
     sobolev: dict          # beta -> ||u||_{H^beta}
     pressure_moments: dict # exponent j -> sum_k |k|^j |p_hat(k)|
     tail_fraction: float
-    flags: Flags = field(default_factory=Flags)
+    flags: tuple = ()      # the FLAGS that fired, in FLAGS order
 
 
 # -- scalar diagnostics --------------------------------------------------------
@@ -282,20 +272,27 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
 # -- record assembly -------------------------------------------------------------
 
 
-def blowup_indicator(record: DiagnosticsRecord) -> Flags:
-    """Discrete blow-up proxies; neither flag claims a true singularity."""
-    scalars = [
-        record.energy, record.dissipation_rate, record.enstrophy,
-        record.enstrophy_production, record.max_velocity, record.tail_fraction,
-    ]
-    scalars.extend(v for comp in record.moments.values() for v in comp.values())
-    scalars.extend(record.sobolev.values())
-    scalars.extend(record.pressure_moments.values())
-    diverged = any(not math.isfinite(v) for v in scalars)
-    return Flags(
-        diverged=diverged,
-        resolution_loss=record.tail_fraction > TAIL_FRACTION_THRESHOLD,
-    )
+def _numbers(value):
+    """Every number in a record field, walking dict values."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
+def blowup_indicator(record: DiagnosticsRecord) -> tuple:
+    """The FLAGS the record fires, as discrete blow-up proxies.
+
+    `diverged` fires on any non-finite number the record holds, whatever its
+    field; neither flag claims a true singularity.
+    """
+    fired = {
+        "diverged": not all(math.isfinite(v) for f in dataclasses.fields(record)
+                            for v in _numbers(getattr(record, f.name))),
+        "resolution_loss": record.tail_fraction > TAIL_FRACTION_THRESHOLD,
+    }
+    return tuple(name for name in FLAGS if fired[name])
 
 
 def compute_diagnostics(u: SpectralVectorField, cfg: SolverConfig,
@@ -305,7 +302,6 @@ def compute_diagnostics(u: SpectralVectorField, cfg: SolverConfig,
 
 
 def _compute_diagnostics(u, cfg, step, dt):
-    nu_eff = 0.0 if cfg.inviscid else cfg.nu
     moments = {
         i: {m: moment_norm(u, i, m) for m in cfg.moment_orders}
         for i in range(u.lattice.n)
@@ -316,12 +312,13 @@ def _compute_diagnostics(u, cfg, step, dt):
         p_hat = compute_pressure(u)
         for m in integer_orders:
             pressure_moments[m + 1.0] = pressure_moment(u, m + 1.0, p_hat=p_hat)
+    # D of an inviscid (nu = 0) run is exactly 0, also where |u|^2 is not finite
     record = DiagnosticsRecord(
         step=step,
         t=u.time,
         dt=dt,
         energy=energy(u),
-        dissipation_rate=dissipation_rate(u, cfg.alpha, nu_eff) if nu_eff else 0.0,
+        dissipation_rate=dissipation_rate(u, cfg.alpha, cfg.nu) if cfg.nu else 0.0,
         enstrophy=enstrophy(u),
         enstrophy_production=enstrophy_production(u),
         max_velocity=max_velocity(u),
@@ -340,28 +337,26 @@ def _fmt_order(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
+def _columns(cfg: SolverConfig) -> list:
+    """The CSV columns in order: (name, the record value the column holds)."""
+    return [
+        *((name, attrgetter(name)) for name in
+          ("step", "t", "dt", "energy", "dissipation_rate", "enstrophy")),
+        ("production", attrgetter("enstrophy_production")),
+        ("max_velocity", attrgetter("max_velocity")),
+        *((f"M{_fmt_order(m)}_c{i + 1}", lambda r, i=i, m=m: r.moments[i][m])
+          for m in cfg.moment_orders for i in range(cfg.n)),
+        *((f"H{_fmt_order(b)}", lambda r, b=b: r.sobolev[b]) for b in cfg.sobolev_betas),
+        ("tail_fraction", attrgetter("tail_fraction")),
+        ("flags", lambda r: "|".join(r.flags)),
+    ]
+
+
 def csv_header(cfg: SolverConfig) -> str:
-    cols = ["step", "t", "dt", "energy", "dissipation_rate", "enstrophy",
-            "production", "max_velocity"]
-    for m in cfg.moment_orders:
-        for i in range(cfg.n):
-            cols.append(f"M{_fmt_order(m)}_c{i + 1}")
-    for b in cfg.sobolev_betas:
-        cols.append(f"H{_fmt_order(b)}")
-    cols.extend(["tail_fraction", "flags"])
-    return ",".join(cols)
+    return ",".join(name for name, _ in _columns(cfg))
 
 
 def csv_row(record: DiagnosticsRecord, cfg: SolverConfig) -> str:
-    vals = [str(record.step), repr(record.t), repr(record.dt),
-            repr(record.energy), repr(record.dissipation_rate),
-            repr(record.enstrophy), repr(record.enstrophy_production),
-            repr(record.max_velocity)]
-    for m in cfg.moment_orders:
-        for i in range(cfg.n):
-            vals.append(repr(record.moments[i][m]))
-    for b in cfg.sobolev_betas:
-        vals.append(repr(record.sobolev[b]))
-    vals.append(repr(record.tail_fraction))
-    vals.append("|".join(record.flags.names()))
-    return ",".join(vals)
+    """One CSV line: the flags joined by "|", every number by its repr."""
+    return ",".join(v if isinstance(v, str) else repr(v)
+                    for v in (value(record) for _, value in _columns(cfg)))

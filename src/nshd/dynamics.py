@@ -5,7 +5,8 @@ with P the Leray projector and the quadratic term formed pseudo-spectrally
 under the 2/3 rule.  Time stepping is classical RK4 applied to the
 integrating-factor variable v = exp(nu |k|^(2*alpha) t) u, so the stiff
 dissipative part is handled exactly: with the nonlinearity switched off a
-step reduces to exact exponential decay.
+step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
+system, whose symbol is zero.
 
 States are stored as full spectra; a step works on the k_n >= 0 half of the
 real field's spectrum and completes its result once.
@@ -13,6 +14,7 @@ real field's spectrum and completes its result once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,6 @@ class SolverConfig:
     nu: float = 1.0
     cfl_safety: float = 0.5
     dt_max: float = 0.01
-    inviscid: bool = False
     diag_stride: int = 10
     moment_orders: tuple = (0.0, 1.0, 2.0)
     sobolev_betas: tuple = (0.0, 1.0)
@@ -69,11 +70,14 @@ class SolverConfig:
                     raise ConfigError(name, f"entries must be numbers, got {v!r}")
                 check_finite(name, v)
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not self.inviscid:
-            if not self.alpha > 0:
-                raise ConfigError("alpha", "must be positive for viscous runs")
-            if not self.nu > 0:
-                raise ConfigError("nu", "must be positive for viscous runs")
+        if not self.alpha > 0:  # else 0 * |k|^(2*alpha) is nan at k = 0
+            raise ConfigError("alpha", "must be positive")
+        k_max = math.sqrt(self.n) * self.N / 2  # the lattice's largest |k|
+        if 2.0 * self.alpha * math.log10(k_max) > 300:  # else inf symbol, nan at nu = 0
+            raise ConfigError("alpha", f"|k|^(2*alpha) must stay below 1e300 at the largest "
+                                       f"|k| = {k_max:g} of the lattice, got {self.alpha!r}")
+        if self.nu < 0:
+            raise ConfigError("nu", "must be nonnegative (0 is the inviscid run)")
         if self.t_end < 0:
             raise ConfigError("t_end", "must be nonnegative")
         if not 0 < self.cfl_safety <= 1:
@@ -178,12 +182,6 @@ def _step_half(lattice: WavenumberLattice, coeffs: np.ndarray, dt: float,
     return new
 
 
-def _half_symbol(lattice: WavenumberLattice, cfg: SolverConfig) -> np.ndarray:
-    """Dissipation symbol of cfg on the k_n >= 0 half spectrum."""
-    return half_spectrum(np.zeros(lattice.shape) if cfg.inviscid
-                         else dissipation_symbol(lattice, cfg.alpha, cfg.nu))
-
-
 def step(state: SolverState, dt: float, cfg: SolverConfig,
          symbol: np.ndarray | None = None) -> SolverState:
     """Advance one RK4 step of size dt; raises Diverged on non-finite output.
@@ -195,7 +193,7 @@ def step(state: SolverState, dt: float, cfg: SolverConfig,
         raise ValueError("dt must be positive")
     lat = state.u.lattice
     if symbol is None:
-        symbol = _half_symbol(lat, cfg)
+        symbol = half_spectrum(dissipation_symbol(lat, cfg.alpha, cfg.nu))
     new = _step_half(lat, half_spectrum(state.u.coeffs), dt, symbol)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
@@ -224,7 +222,7 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
-    symbol = _half_symbol(state.u.lattice, cfg)
+    symbol = half_spectrum(dissipation_symbol(state.u.lattice, cfg.alpha, cfg.nu))
 
     def emit(st, dt_last):
         if sink is not None:

@@ -8,8 +8,9 @@ Each run writes three artifacts into its output directory:
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
 2 diverged, 3 resolution loss, 4 unwritable output.  A run's status is the
 gravest flag carried by any of its records, a sweep's exit code that of its
-gravest row, by the one order diverged > resolution_loss > completed.  The
-last record's own flags stay in the last row of diagnostics.csv.  Sweep rows
+gravest row.  The flag names and their order, gravest first, are
+`diagnostics.FLAGS` (diverged, resolution_loss); "completed" ranks below
+them.  The last record's own flags stay in the last row of diagnostics.csv.  Sweep rows
 come from the RunRecord that `run_config` folds from its in-memory records;
 each alpha runs in its own directory `alpha_{alpha:g}`.
 
@@ -41,7 +42,7 @@ import scipy.fft
 
 from .checkpoint import write_checkpoint
 from .config import ConfigError, RunConfig
-from .diagnostics import Flags, csv_header, csv_row, energy
+from .diagnostics import FLAGS, csv_header, csv_row, energy
 from .dynamics import SolverState, advance
 from .initial_conditions import build_initial_field
 from .scaling import (
@@ -52,9 +53,7 @@ from .scaling import (
     sub_ball,
 )
 
-STATUS_COMPLETED = "completed"
-STATUS_DIVERGED = "diverged"
-STATUS_RESOLUTION_LOSS = "resolution_loss"
+STATUS_COMPLETED = "completed"  # a run's status is this or the gravest of its FLAGS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,18 +65,14 @@ FFT_THREAD_POINTS = 2 ** 18  # smallest lattice whose runs transform on the budg
 COMMUTATION_TOL = 1e-6  # scale-check pass bounds, relative
 ENERGY_RATIO_TOL = 1e-12
 
-_STATUS_EXIT = {
-    STATUS_COMPLETED: EXIT_OK,
-    STATUS_DIVERGED: EXIT_DIVERGED,
-    STATUS_RESOLUTION_LOSS: EXIT_RESOLUTION_LOSS,
-}
-_SEVERITY = (STATUS_DIVERGED, STATUS_RESOLUTION_LOSS)  # gravest first; else completed
+_STATUS_EXIT = dict(zip((*FLAGS, STATUS_COMPLETED),
+                        (EXIT_DIVERGED, EXIT_RESOLUTION_LOSS, EXIT_OK), strict=True))
 
 
 def _gravest(statuses) -> str:
     """The gravest of the given statuses or flag names; completed if none."""
     statuses = set(statuses)
-    return next((s for s in _SEVERITY if s in statuses), STATUS_COMPLETED)
+    return next((s for s in FLAGS if s in statuses), STATUS_COMPLETED)
 
 
 class OutputError(OSError):
@@ -235,12 +230,12 @@ def _fold_records(records, cfg) -> dict:
     """
     max_enstrophy = -math.inf
     max_moments = dict.fromkeys(cfg.moment_orders, -math.inf)
-    first_flag_time = dict.fromkeys(f.name for f in dataclasses.fields(Flags))
+    first_flag_time = dict.fromkeys(FLAGS)
     for rec in records:
         max_enstrophy = max(max_enstrophy, rec.enstrophy)
         for m in max_moments:
             max_moments[m] = max(max_moments[m], *(rec.moments[i][m] for i in range(cfg.n)))
-        for name in rec.flags.names():
+        for name in rec.flags:
             if first_flag_time[name] is None:
                 first_flag_time[name] = rec.t
     return {
@@ -304,7 +299,7 @@ def _read_row_metrics(record: RunRecord, config: RunConfig) -> SweepRow:
         status=record.status,
         max_enstrophy=record.max_enstrophy,
         max_m1=record.max_moments[1.0],
-        resolution_loss_time=record.first_flag_time[STATUS_RESOLUTION_LOSS],
+        resolution_loss_time=record.first_flag_time["resolution_loss"],
         energy_ratio=(record.final_energy / record.initial_energy
                       if record.initial_energy else math.nan),
         is_lions_exponent=(alpha == float(lions_exponent(config.solver.n))),

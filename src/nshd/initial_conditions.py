@@ -9,6 +9,7 @@ real part before imaginary part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .spectral import (
 )
 
 RNG_ALGORITHM = "philox4x64-10/v1"
+SLOPE_DECADES = 100  # the band's largest |k|^spectrum_slope lies within 1e+-100
 
 
 class EmptyBand(ValueError):
@@ -35,7 +37,8 @@ class InitialConditionSpec:
 
     kind is "taylor_green" (amplitude only) or "random_band" (seeded band
     of Gaussian modes with amplitude ~ |k|^spectrum_slope, rescaled so the
-    total energy equals amplitude^2).
+    total energy equals amplitude^2; the energy before the rescaling must
+    neither overflow nor underflow to zero).
     """
 
     kind: str
@@ -61,6 +64,13 @@ class InitialConditionSpec:
                 raise ConfigError("band", f"need 1 <= k_min <= k_max, got {list(self.band)}")
             if not 0 <= self.seed < 2**64:  # the Philox key and the checkpoint's u64
                 raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
+            k_dom = k_max if self.spectrum_slope > 0 else k_min  # the largest |k|^slope
+            if abs(self.spectrum_slope) * math.log10(k_dom) > SLOPE_DECADES:
+                raise ConfigError(
+                    "spectrum_slope",
+                    f"{k_dom}^{self.spectrum_slope:g} leaves [1e-{SLOPE_DECADES}, "
+                    f"1e+{SLOPE_DECADES}] for band {list(self.band)}",
+                )
 
 
 def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> SpectralVectorField:

@@ -86,8 +86,7 @@ def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjectio
     """Fixed-step integration honoring fault injections; returns field samples."""
     lat = u0.lattice
     sign = -1.0 if faults.dissipation_sign_flip else 1.0
-    symbol = sign * dissipation_symbol(lat, alpha, nu) if nu else np.zeros(lat.shape)
-    symbol = half_spectrum(symbol)
+    symbol = half_spectrum(sign * dissipation_symbol(lat, alpha, nu))
     coeffs = half_spectrum(u0.coeffs)
     t = 0.0
     samples = [SpectralVectorField(lat, u0.coeffs, t)]

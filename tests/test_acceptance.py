@@ -95,7 +95,7 @@ def test_criterion_2_energy_identity():
 
 def test_criterion_3_inviscid_conservation_and_production():
     u0 = make_random_field(n=3, N=32, seed=203, band=(1, 2), amplitude=0.5)
-    cfg = SolverConfig(n=3, N=32, alpha=1.0, t_end=0.5, inviscid=True,
+    cfg = SolverConfig(n=3, N=32, alpha=1.0, nu=0.0, t_end=0.5,
                        dt_max=1e-3, cfl_safety=1.0, diag_stride=5,
                        moment_orders=(), sobolev_betas=())
     _, records = _collect(u0, cfg)

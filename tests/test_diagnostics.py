@@ -1,15 +1,20 @@
 """Norms, moments, the moment-inequality monitor and the max-norm bound."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nshd.diagnostics import (
+    FLAGS,
     NotEnoughSamples,
     blowup_indicator,
     compute_diagnostics,
+    csv_header,
+    csv_row,
     dissipation_rate,
     energy,
     enstrophy,
@@ -93,7 +98,7 @@ def test_production_matches_enstrophy_derivative_3d():
     # centered difference of the enstrophy along an inviscid run vs the
     # quadrature of the stretching term
     u0 = make_random_field(n=3, N=32, seed=54, band=(1, 2), amplitude=0.5)
-    cfg = SolverConfig(n=3, N=32, alpha=1.0, t_end=0.02, inviscid=True,
+    cfg = SolverConfig(n=3, N=32, alpha=1.0, nu=0.0, t_end=0.02,
                        dt_max=1e-3, cfl_safety=1.0, diag_stride=1,
                        moment_orders=())
     records = []
@@ -248,7 +253,7 @@ def test_tail_fraction_and_flags():
     low = make_random_field(seed=56, N=32, band=(1, 3))
     rec = compute_diagnostics(low, cfg)
     assert rec.tail_fraction < 1e-12
-    assert not rec.flags.resolution_loss and not rec.flags.diverged
+    assert rec.flags == ()
 
     # field concentrated on the top shell |k| in [N/3 - 1, N/3)
     coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
@@ -257,11 +262,11 @@ def test_tail_fraction_and_flags():
     hot = SpectralVectorField(lat, coeffs)
     assert tail_fraction(hot) == pytest.approx(1.0)
     rec = compute_diagnostics(hot, cfg)
-    assert rec.flags.resolution_loss
+    assert rec.flags == ("resolution_loss",)
 
     nan_field = low.with_coeffs(low.coeffs * np.nan)
     rec = compute_diagnostics(nan_field, cfg)
-    assert rec.flags.diverged
+    assert rec.flags == ("diverged",)  # a NaN tail fraction fires no resolution_loss
 
 
 def test_blowup_indicator_pure_function():
@@ -270,6 +275,39 @@ def test_blowup_indicator_pure_function():
     rec = compute_diagnostics(make_random_field(seed=57), cfg)
     flags = blowup_indicator(rec)
     assert flags == rec.flags
+
+
+def with_one_value(record, path, value):
+    """`record` with the number at `path` (a field, then dict keys) replaced."""
+    name, *keys = path
+    if not keys:
+        return dataclasses.replace(record, **{name: value})
+    top = {k: dict(v) if isinstance(v, dict) else v
+           for k, v in getattr(record, name).items()}
+    inner = top
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return dataclasses.replace(record, **{name: top})
+
+
+def test_blowup_indicator_fires_diverged_on_any_nonfinite_number():
+    cfg = SolverConfig(n=3, N=16, alpha=1.0, nu=1.0, t_end=1.0, sobolev_betas=(0.0, 2.0))
+    rec = compute_diagnostics(make_random_field(n=3, N=16, seed=59), cfg)
+    assert rec.flags == () and rec.pressure_moments
+    paths = [("energy",), ("dt",), ("max_velocity",), ("moments", 2, 1.0),
+             ("sobolev", 2.0), ("pressure_moments", 3.0)]
+    for path in paths:
+        for bad in (math.nan, math.inf):
+            assert blowup_indicator(with_one_value(rec, path, bad)) == ("diverged",), path
+
+
+def test_inviscid_dissipation_rate_stays_zero_on_a_nonfinite_field():
+    cfg = SolverConfig(n=2, N=32, alpha=1.0, nu=0.0, t_end=1.0, moment_orders=())
+    u = make_random_field(seed=60)
+    rec = compute_diagnostics(u.with_coeffs(np.full_like(u.coeffs, np.inf)), cfg)
+    assert rec.flags == ("diverged",)
+    assert rec.dissipation_rate == 0.0
 
 
 def test_tail_fraction_zero_field():
@@ -291,3 +329,37 @@ def test_energy_derivative_matches_dissipation():
             records[j + 1].t - records[j - 1].t
         )
         assert dedt == pytest.approx(-records[j].dissipation_rate, rel=1e-6)
+
+
+# -- CSV schema ----------------------------------------------------------------------------
+
+
+def named_value(record, name):
+    """The record value a CSV column name names, read from the name alone."""
+    if match := re.fullmatch(r"M(.+)_c(\d+)", name):
+        return record.moments[int(match[2]) - 1][float(match[1])]
+    if match := re.fullmatch(r"H(.+)", name):
+        return record.sobolev[float(match[1])]
+    return getattr(record, "enstrophy_production" if name == "production" else name)
+
+
+orders = st.lists(st.sampled_from([0, 0.5, 1, 2, 3.25, 4]), unique=True, max_size=4)
+
+
+@given(n=st.sampled_from([2, 3]), moment_orders=orders,
+       sobolev_betas=st.lists(st.floats(-2.0, 3.0).map(lambda b: round(b, 3)),
+                              unique=True, max_size=3),
+       flags=st.lists(st.sampled_from(FLAGS), unique=True))
+def test_csv_columns_hold_the_record_values_they_name(n, moment_orders, sobolev_betas,
+                                                      flags):
+    cfg = SolverConfig(n=n, N=16, alpha=1.0, nu=1.0, t_end=1.0,
+                       moment_orders=moment_orders, sobolev_betas=sobolev_betas)
+    rec = compute_diagnostics(make_random_field(n=n, N=16, seed=61), cfg, step=7, dt=0.125)
+    rec = dataclasses.replace(rec, flags=tuple(f for f in FLAGS if f in flags))
+    names = csv_header(cfg).split(",")
+    cells = csv_row(rec, cfg).split(",")
+    assert len(cells) == len(names) == 10 + n * len(moment_orders) + len(sobolev_betas)
+    assert names[-1] == "flags" and cells[-1] == "|".join(rec.flags)
+    assert int(cells[0]) == rec.step == 7
+    for name, cell in zip(names[1:-1], cells[1:-1]):
+        assert float(cell) == named_value(rec, name), name

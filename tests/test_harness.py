@@ -608,6 +608,24 @@ def test_cli_out_of_bounds_config_exit_1_without_output(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("band,slope", [
+    ([1, 8], 400.0),  # 8^400 overflowed: an all-NaN field that ran as "diverged"
+    ([2, 8], -1000.0),  # 2^-1000 squared is 0: EmptyBand after --out existed
+], ids=["8^400", "2^-1000"])
+def test_cli_out_of_range_spectrum_slope_exit_1_without_output(tmp_path, capsys, command,
+                                                               band, slope):
+    ic = {"kind": "random_band", "seed": 1, "band": band, "spectrum_slope": slope}
+    path = make_config(tmp_path, initial_condition=ic)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--alphas", "0.9,1.1"]
+    assert main(argv) == 1
+    assert "invalid config: initial_condition.spectrum_slope: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["simulate"],

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nshd.diagnostics import energy
 from nshd.initial_conditions import (
@@ -12,6 +12,7 @@ from nshd.initial_conditions import (
     taylor_green,
 )
 from nshd.spectral import (
+    ConfigError,
     build_lattice,
     coeffs_to_grid,
     dealias,
@@ -108,6 +109,23 @@ def test_random_band_spectrum_slope():
     ratio_flat = shell_energy(flat, hi) / shell_energy(flat, lo)
     ratio_steep = shell_energy(steep, hi) / shell_energy(steep, lo)
     assert ratio_steep < ratio_flat  # slope suppresses the high shell
+
+
+LATTICES = {n: build_lattice(n, 32) for n in (2, 3)}
+
+
+@given(n=st.sampled_from([2, 3]),
+       band=st.lists(st.integers(1, 10), min_size=2, max_size=2).map(sorted),
+       slope=st.floats(-400.0, 400.0), seed=st.integers(0, 2**64 - 1))
+def test_every_accepted_spectrum_slope_builds_a_finite_field(n, band, slope, seed):
+    try:
+        spec = InitialConditionSpec("random_band", seed=seed, band=band,
+                                    spectrum_slope=slope)
+    except ConfigError:
+        assume(False)
+    u = random_band_limited(LATTICES[n], spec)  # k_max <= 10 < 32/3
+    assert np.all(np.isfinite(u.coeffs)) and np.any(u.coeffs != 0)
+    assert energy(u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_empty_band_rejected():
