@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralVectorField, build_lattice
+from .spectral import ConfigError, SpectralVectorField, build_lattice, check_grid
 
 MAGIC = b"NSHD"
 VERSION = 1
@@ -69,15 +69,16 @@ def read_checkpoint(path):
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     try:
-        lattice = build_lattice(n, N)
-    except ValueError as exc:
+        check_grid(n, N)
+    except ConfigError as exc:
         raise CheckpointFormatError(f"bad checkpoint header: {exc}") from None
-    expected = n * lattice.total_modes * 16
+    expected = n * N**n * 16
     body = raw[_HEADER.size:]
     if len(body) != expected:
         raise CheckpointFormatError(
             f"checkpoint body has {len(body)} bytes, expected {expected}"
         )
+    lattice = build_lattice(n, N)
     coeffs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
     coeffs = coeffs.reshape((n,) + lattice.shape)
     field = SpectralVectorField(lattice, coeffs, time)

@@ -28,7 +28,7 @@ from .harness import (
     sweep,
 )
 from .scaling import lions_exponent, solvability_margin
-from .verify import FaultInjection, run_verification
+from .verify import run_verification
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +128,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verification(args.filter, FaultInjection())
+    results = run_verification(args.filter)
     if args.as_json:
         print(json.dumps([r.__dict__ for r in results], indent=2))
     else:

@@ -109,21 +109,18 @@ def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> n
     return nu * lattice.kmod_array ** (2.0 * alpha)
 
 
-def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray, *,
-                  dealias: bool = True) -> np.ndarray:
+def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
     """-P[(u.grad)u] on the k_n >= 0 half spectrum (array level).
 
     Velocity and all partial derivatives are transformed to the grid, the
     convective products are formed pointwise, and the result is transformed
-    back, dealiased, projected and mean-zeroed.  `coeffs` may be the full
-    spectrum or its half; the result is the half, shape (n, N, ..., N//2 + 1).
+    back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` may be
+    the full spectrum or its half; the result is the half, (n, N, ..., N//2 + 1).
     """
     n = lattice.n
     vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs)
     conv = np.einsum("j...,ij...->i...", vel, deriv)  # deriv[i, j] = d_j u_i
-    out = grid_to_coeffs(conv, n)
-    if dealias:
-        out = dealias_coeffs(lattice, out)
+    out = dealias_coeffs(lattice, grid_to_coeffs(conv, n))
     out = leray_project_coeffs(lattice, out)
     out[(slice(None),) + (0,) * n] = 0.0
     return -out
@@ -165,18 +162,17 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs) -> np.nd
 
 
 def _step_half(lattice: WavenumberLattice, coeffs: np.ndarray, dt: float,
-               symbol: np.ndarray, *, dealias: bool = True) -> np.ndarray:
+               symbol: np.ndarray) -> np.ndarray:
     """IF-RK4 step plus cleanup on k_n >= 0 half-spectrum arrays.
 
-    `symbol` may be full or half width.  With dealias=False the 2/3 rule is
-    skipped both in the RHS and in the cleanup.
+    `symbol` may be full or half width.  The RHS and the cleanup always apply
+    the lattice's 2/3-rule mask; verify's faults are inputs it builds itself.
     """
     symbol = symbol[..., : coeffs.shape[-1]]
-    rhs = lambda c: nonlinear_rhs(lattice, c, dealias=dealias)
+    rhs = lambda c: nonlinear_rhs(lattice, c)
     new = if_rk4_step(coeffs, dt, symbol, rhs)
     # divergence cleanup: cheap, stops projection drift from accumulating
-    if dealias:
-        new = dealias_coeffs(lattice, new)
+    new = dealias_coeffs(lattice, new)
     new = leray_project_coeffs(lattice, new)
     new[(slice(None),) + (0,) * lattice.n] = 0.0
     return new

@@ -1,15 +1,18 @@
 """Standalone verification suite: every checkable identity, pass/fail per name.
 
 Dynamics-based properties run through a fixed-step loop over the solver's own
-stepping kernel with fault injections (dissipation sign flip, dealiasing
-disabled) so the suite itself can be tested: a deliberately broken operator
-must trip the property that watches for it, and only that kind of property.
+stepping kernel.  Its faults (dissipation sign flip, dealiasing disabled) are
+inputs built only here, so the suite itself can be tested: a deliberately
+broken operator must trip the property that watches for it, and only that kind.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
@@ -49,6 +52,7 @@ from .spectral import (
     build_lattice,
     coeffs_to_grid,
     dealias,
+    divergence_defect,
     full_spectrum,
     grid_to_coeffs,
     half_spectrum,
@@ -61,7 +65,7 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class FaultInjection:
-    """Deliberate defects for exercising the suite itself."""
+    """Deliberate defects for exercising the suite itself; `_faulty_inputs` builds them."""
 
     dissipation_sign_flip: bool = False
     dealias_off: bool = False
@@ -76,17 +80,21 @@ class PropertyResult:
     detail: str = ""
 
 
-def _result(name, metric, threshold, detail="", larger_is_worse=True):
-    passed = metric <= threshold if larger_is_worse else metric >= threshold
-    return PropertyResult(name, bool(passed), float(metric), float(threshold), detail)
+def _faulty_inputs(lat, alpha, nu, faults: FaultInjection):
+    """The stepping lattice and the full dissipation symbol, with `faults` built in."""
+    sign = -1.0 if faults.dissipation_sign_flip else 1.0
+    if faults.dealias_off:  # a copy of the lattice whose 2/3-rule mask keeps every mode
+        lat = build_lattice(lat.n, lat.N)
+        object.__setattr__(lat, "dealias_mask_array", np.ones_like(lat.dealias_mask_array))
+    return lat, sign * dissipation_symbol(lat, alpha, nu)
 
 
 def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjection,
             stride=1):
-    """Fixed-step integration honoring fault injections; returns field samples."""
+    """Fixed-step integration through the faulty kernel; samples stay on u0's lattice."""
     lat = u0.lattice
-    sign = -1.0 if faults.dissipation_sign_flip else 1.0
-    symbol = half_spectrum(sign * dissipation_symbol(lat, alpha, nu))
+    step_lat, symbol = _faulty_inputs(lat, alpha, nu, faults)
+    symbol = half_spectrum(symbol)
     coeffs = half_spectrum(u0.coeffs)
     t = 0.0
     samples = [SpectralVectorField(lat, u0.coeffs, t)]
@@ -94,7 +102,7 @@ def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjectio
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-14:
             h = min(dt, t_end - t)
-            coeffs = _step_half(lat, coeffs, h, symbol, dealias=not faults.dealias_off)
+            coeffs = _step_half(step_lat, coeffs, h, symbol)
             t += h
             step += 1
             if step % stride == 0 or t >= t_end - 1e-14:
@@ -120,7 +128,7 @@ def _check_parseval(faults):
         quad = u.lattice.cell_volume * float(np.sum(phys**2))
         modes = u.lattice.volume * float(np.sum(np.abs(u.coeffs) ** 2))
         worst = max(worst, abs(quad - modes) / modes)
-    return _result("parseval", worst, 1e-10)
+    return worst, 1e-10
 
 
 def _check_transform_roundtrip(faults):
@@ -129,7 +137,7 @@ def _check_transform_roundtrip(faults):
     back = full_spectrum(grid_to_coeffs(coeffs_to_grid(u.coeffs, n), n), n)
     err = float(np.max(np.abs(back - u.coeffs)))
     scale = float(np.max(np.abs(u.coeffs)))
-    return _result("transform_roundtrip", err / scale, 1e-12)
+    return err / scale, 1e-12
 
 
 def _check_leray_idempotent(faults):
@@ -138,16 +146,13 @@ def _check_leray_idempotent(faults):
     once = leray_project(noisy)
     twice = leray_project(once)
     err = float(np.max(np.abs(twice.coeffs - once.coeffs)))
-    return _result("leray_idempotent", err, 1e-15)
+    return err, 1e-15
 
 
 def _check_leray_divergence_free(faults):
-    from .spectral import divergence_defect
-
     u = _random_field(seed=6)
     noisy = u.with_coeffs(u.coeffs + 0.3j * np.roll(u.coeffs, 1, axis=-1))
-    return _result("leray_divergence_free", divergence_defect(leray_project(noisy)),
-                   1e-12)
+    return divergence_defect(leray_project(noisy)), 1e-12
 
 
 def _check_derivative_leray_commute(faults):
@@ -157,7 +162,7 @@ def _check_derivative_leray_commute(faults):
         d = np.stack([spectral_derivative(u, i, axis) for i in range(u.lattice.n)])
         projected = leray_project_coeffs(u.lattice, d)
         worst = max(worst, float(np.max(np.abs(projected - d))))
-    return _result("derivative_leray_commute", worst, 1e-12)
+    return worst, 1e-12
 
 
 def _check_hermitian_preservation(faults):
@@ -169,7 +174,7 @@ def _check_hermitian_preservation(faults):
         _evolve(u, 1.0, 0.5, 0.02, 0.01, faults)[-1],
     ]
     worst = max(hermitian_defect(v) for v in candidates)
-    return _result("hermitian_preservation", worst, 1e-12)
+    return worst, 1e-12
 
 
 def _check_dealias_idempotent(faults):
@@ -180,7 +185,7 @@ def _check_dealias_idempotent(faults):
     err = float(np.max(np.abs(twice.coeffs - once.coeffs)))
     kept = dealias(u)
     err2 = float(np.max(np.abs(kept.coeffs - u.coeffs)))  # band-limited unchanged
-    return _result("dealias_idempotent", max(err, err2), 1e-15)
+    return max(err, err2), 1e-15
 
 
 # -- dynamics properties --------------------------------------------------------
@@ -197,14 +202,13 @@ def _check_exact_linear_decay(faults):
     coeffs[1][-1, -1] = -a
     u0 = SpectralVectorField(lat, coeffs)
     alpha, nu, t_end = 1.25, 0.7, 0.3
-    sign = -1.0 if faults.dissipation_sign_flip else 1.0
-    symbol = sign * dissipation_symbol(lat, alpha, nu)
+    _, symbol = _faulty_inputs(lat, alpha, nu, faults)
     out = u0.coeffs
     for _ in range(3):
         out = if_rk4_step(out, 0.1, symbol, lambda c: np.zeros_like(c))
     expected = u0.coeffs * np.exp(-nu * 2.0**alpha * t_end)
     err = float(np.max(np.abs(out - expected))) / a
-    return _result("exact_linear_decay", err, 1e-12)
+    return err, 1e-12
 
 
 def _check_taylor_green_exact(faults):
@@ -217,7 +221,7 @@ def _check_taylor_green_exact(faults):
     rel = np.max(np.abs(final.coeffs[active] - expected[active])
                  / np.abs(expected[active]))
     stray = np.max(np.abs(final.coeffs[~active])) / np.max(np.abs(expected))
-    return _result("taylor_green_exact_solution", float(max(rel, stray)), 1e-10)
+    return float(max(rel, stray)), 1e-10
 
 
 def _check_energy_identity(faults):
@@ -231,7 +235,7 @@ def _check_energy_identity(faults):
     for j in range(1, len(samples) - 1):
         dedt = (es[j + 1] - es[j - 1]) / (ts[j + 1] - ts[j - 1])
         worst = max(worst, abs(dedt + ds[j]) / ds[j])
-    return _result("energy_identity", worst, 1e-6)
+    return worst, 1e-6
 
 
 def _check_energy_monotonic(faults):
@@ -241,7 +245,7 @@ def _check_energy_monotonic(faults):
     worst = max(
         (es[j + 1] - es[j]) / es[0] for j in range(len(es) - 1)
     )
-    return _result("energy_monotonic", worst, 1e-10)
+    return worst, 1e-10
 
 
 def _check_inviscid_energy_conservation(faults):
@@ -249,7 +253,7 @@ def _check_inviscid_energy_conservation(faults):
     samples = _evolve(u0, 1.0, 0.0, 0.1, 2e-3, faults)
     es = [energy(s) for s in samples]
     drift = max(abs(e - es[0]) for e in es) / es[0]
-    return _result("inviscid_energy_conservation", drift, 1e-6)
+    return drift, 1e-6
 
 
 def _check_enstrophy_production_identity(faults):
@@ -262,7 +266,7 @@ def _check_enstrophy_production_identity(faults):
         dzdt = (zs[j + 1] - zs[j - 1]) / (ts[j + 1] - ts[j - 1])
         prod = enstrophy_production(samples[j])
         worst = max(worst, abs(dzdt - prod) / abs(prod))
-    return _result("enstrophy_production_identity", worst, 1e-4)
+    return worst, 1e-4
 
 
 def _check_moment_inequality_taylor_green(faults):
@@ -281,8 +285,7 @@ def _check_moment_inequality_taylor_green(faults):
             for sample in moment_inequality_scan(records, i, m, alpha, nu):
                 worst = max(worst, -(sample.residual + sample.tol))
     metric = max(worst, rhs_err - 1e-6)
-    return _result("moment_inequality_taylor_green", metric, 0.0,
-                   detail=f"t0 rhs error {rhs_err:.2e}")
+    return metric, 0.0, f"t0 rhs error {rhs_err:.2e}"
 
 
 # -- continuum / calculus properties --------------------------------------------
@@ -305,7 +308,7 @@ def _check_gaussian_closed_form(faults):
                 closed = gaussian_moment(n, ell, sigma)
                 quad = _gaussian_moment_quadrature(n, ell, sigma)
                 worst = max(worst, abs(closed - quad) / quad)
-    return _result("gaussian_closed_form_vs_quadrature", worst, 1e-10)
+    return worst, 1e-10
 
 
 def _check_interpolation_ratio_scale_invariance(faults):
@@ -315,7 +318,7 @@ def _check_interpolation_ratio_scale_invariance(faults):
             vals = [interpolation_ratio(n, ell, m, s) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
             ref = vals[len(vals) // 2]
             worst = max(worst, max(abs(v - ref) / ref for v in vals))
-    return _result("interpolation_ratio_scale_invariance", worst, 1e-10)
+    return worst, 1e-10
 
 
 def _check_max_norm_bound(faults):
@@ -329,7 +332,7 @@ def _check_max_norm_bound(faults):
     tg = taylor_green(lat, 1.0)
     for chk in max_norm_bound_check(tg, 0):
         worst = max(worst, chk.lhs - chk.rhs)
-    return _result("max_norm_moment_bound", worst, 1e-10)
+    return worst, 1e-10
 
 
 def _check_moment_homogeneity(faults):
@@ -341,7 +344,7 @@ def _check_moment_homogeneity(faults):
             a = moment_norm(scaled, i, m)
             b = 3.5 * moment_norm(u, i, m)
             worst = max(worst, abs(a - b) / b)
-    return _result("moment_homogeneity", worst, 1e-12)
+    return worst, 1e-12
 
 
 def _check_scaled_energy_ratio(faults):
@@ -356,7 +359,7 @@ def _check_scaled_energy_ratio(faults):
                 ratio = scaled_energy_ratio(u, q, alpha, n)
                 expected = expected_energy_ratio(q, alpha, n)
                 worst = max(worst, abs(ratio - expected) / expected)
-    return _result("scaled_energy_ratio_identity", worst, 1e-12)
+    return worst, 1e-12
 
 
 def _check_solution_map_commutation(faults):
@@ -369,34 +372,28 @@ def _check_solution_map_commutation(faults):
     rescaled = apply_discrete_rescale(sub_ball(a_final, q), q, alpha)
     num = float(np.sqrt(np.sum(np.abs(rescaled.coeffs - b_final.coeffs) ** 2)))
     den = float(np.sqrt(np.sum(np.abs(b_final.coeffs) ** 2)))
-    return _result("solution_map_commutation", num / den, 1e-6)
+    return num / den, 1e-6
 
 
 def _check_exponent_calculus(faults):
-    from fractions import Fraction
-
     if lions_exponent(2) != 1 or lions_exponent(3) != Fraction(5, 4):
-        return _result("exponent_calculus", 1.0, 0.5,
-                       detail="closed-form values wrong")
+        return 1.0, 0.5, "closed-form values wrong"
     worst = 0.0
     for n in range(2, 65):
         margin, label = solvability_margin(n, lions_exponent(n))
         if margin != 0 or label != "critical":
             worst = 1.0
-    return _result("exponent_calculus", worst, 0.5)
+    return worst, 0.5
 
 
 def _check_rng_determinism(faults):
     a = _random_field(seed=77)
     b = _random_field(seed=77)
     identical = np.array_equal(a.coeffs, b.coeffs)
-    return _result("rng_determinism", 0.0 if identical else 1.0, 0.5)
+    return 0.0 if identical else 1.0, 0.5
 
 
 def _check_checkpoint_roundtrip(faults):
-    import os
-    import tempfile
-
     u = _random_field(seed=16)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.nshd")
@@ -405,17 +402,19 @@ def _check_checkpoint_roundtrip(faults):
         ok = (np.array_equal(back.coeffs, u.coeffs) and meta.alpha == 1.25
               and meta.nu == 0.5 and meta.seed == 16)
         rejected = False
-        bad = bytearray(open(path, "rb").read())
-        bad[:4] = b"XXXX"
+        with open(path, "rb") as fh:
+            bad = b"XXXX" + fh.read()[4:]
         bad_path = os.path.join(tmp, "bad.nshd")
-        open(bad_path, "wb").write(bytes(bad))
+        with open(bad_path, "wb") as fh:
+            fh.write(bad)
         try:
             ckpt.read_checkpoint(bad_path)
         except ckpt.CheckpointFormatError:
             rejected = True
-    return _result("checkpoint_roundtrip", 0.0 if (ok and rejected) else 1.0, 0.5)
+    return 0.0 if (ok and rejected) else 1.0, 0.5
 
 
+# name -> check(faults), which returns (metric, threshold[, detail]); passes if metric <= threshold
 PROPERTY_CHECKS = {
     "parseval": _check_parseval,
     "transform_roundtrip": _check_transform_roundtrip,
@@ -445,13 +444,15 @@ PROPERTY_CHECKS = {
 
 def run_verification(name_filter: str | None = None,
                      faults: FaultInjection = FaultInjection()):
-    """Run the property suite; returns a list of PropertyResult."""
+    """Run the property suite; returns a PropertyResult per matching PROPERTY_CHECKS key."""
     results = []
     for name, check in PROPERTY_CHECKS.items():
         if name_filter is not None and name_filter not in name:
             continue
         try:
-            results.append(check(faults))
+            metric, threshold, *detail = check(faults)
+            results.append(PropertyResult(name, bool(metric <= threshold), float(metric),
+                                          float(threshold), *detail))
         except Exception as exc:  # a crash is a failure, not an abort
             results.append(PropertyResult(name, False, math.inf, 0.0,
                                           detail=f"{type(exc).__name__}: {exc}"))

@@ -7,6 +7,7 @@ otherwise) and asserts the criterion.
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -307,5 +308,5 @@ def test_criterion_10_determinism(tmp_path):
     config = parse_config(doc)
     a = run_config(config, tmp_path / "a")
     b = run_config(config, tmp_path / "b")
-    same = open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+    same = Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
     _report("10 determinism", same, "diagnostics CSV bit-identical")

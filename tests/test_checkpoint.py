@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nshd import checkpoint
 from nshd.checkpoint import (
@@ -94,6 +95,46 @@ def test_reject_unsupported_lattice_header(tmp_path, field, value):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match="header"):
         read_checkpoint(bad)
+
+
+def _header(n, N):
+    return struct.pack("<4sBBIdddQ", b"NSHD", 1, n, N, 1.0, 1.0, 0.0, 0)
+
+
+def test_body_size_is_checked_before_the_lattice_is_built(tmp_path, monkeypatch):
+    # a header-only file claiming 3D N=512 (a 6 GB body) must not allocate that lattice
+    def no_lattice(n, N):
+        raise AssertionError(f"built a {n}D N={N} lattice for a file without a body")
+
+    monkeypatch.setattr(checkpoint, "build_lattice", no_lattice)
+    bad = tmp_path / "bad.nshd"
+    bad.write_bytes(_header(3, 512))
+    with pytest.raises(CheckpointFormatError, match="body"):
+        read_checkpoint(bad)
+
+
+@given(raw=st.binary(max_size=200))
+def test_fuzz_arbitrary_bytes_raise_only_format_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "any.nshd"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError):
+        read_checkpoint(path)
+
+
+@given(n=st.sampled_from([2, 3]) | st.integers(0, 255),
+       N=st.sampled_from([8, 10]) | st.integers(0, 2**32 - 1),
+       body=st.sampled_from([2 * 8**2 * 16, 2 * 10**2 * 16, 3 * 8**3 * 16])
+       | st.integers(0, 4096))
+def test_fuzz_valid_header_with_any_grid_and_body_length(tmp_path_factory, n, N, body):
+    path = tmp_path_factory.mktemp("fuzz") / "any.nshd"
+    path.write_bytes(_header(n, N) + bytes(body))
+    try:
+        u, meta = read_checkpoint(path)
+    except CheckpointFormatError:
+        return
+    # accepted only when the body is exactly the claimed all-zero lattice
+    assert body == n * N**n * 16
+    assert u.coeffs.shape == (n,) + (N,) * n and not u.coeffs.any()
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

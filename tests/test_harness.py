@@ -135,11 +135,11 @@ def test_run_determinism_bit_exact(tmp_path):
     )
     a = run_config(load_config(path), tmp_path / "a")
     b = run_config(load_config(path), tmp_path / "b")
-    csv_a = open(a.csv_path, "rb").read()
-    csv_b = open(b.csv_path, "rb").read()
+    csv_a = Path(a.csv_path).read_bytes()
+    csv_b = Path(b.csv_path).read_bytes()
     assert csv_a == csv_b
-    ck_a = open(a.checkpoint_path, "rb").read()
-    ck_b = open(b.checkpoint_path, "rb").read()
+    ck_a = Path(a.checkpoint_path).read_bytes()
+    ck_b = Path(b.checkpoint_path).read_bytes()
     assert ck_a == ck_b
 
 
@@ -174,8 +174,8 @@ def test_sweep_single_alpha_matches_run(tmp_path):
     config = load_config(path)
     summary = sweep(config, [1.0], tmp_path / "sw1")
     solo = run_config(config, tmp_path / "solo")
-    sweep_csv = open(tmp_path / "sw1" / "alpha_1" / "diagnostics.csv", "rb").read()
-    solo_csv = open(solo.csv_path, "rb").read()
+    sweep_csv = (tmp_path / "sw1" / "alpha_1" / "diagnostics.csv").read_bytes()
+    solo_csv = Path(solo.csv_path).read_bytes()
     assert sweep_csv == solo_csv
     assert summary.rows[0].status == solo.status
 
