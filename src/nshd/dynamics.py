@@ -9,7 +9,13 @@ step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
 system, whose symbol is zero.
 
 States are stored as full spectra; a step works on the k_n >= 0 half of the
-real field's spectrum and completes its result once.
+real field's spectrum and completes its result once.  Its arrays (the
+transform batch, the grid product and the RK4 stages) live in a
+`StepWorkspace` that the stages and the RHS cleanup update in place.
+`advance` builds one workspace per run, drops it before each diagnostics
+record and builds it again at the next step; `verify` builds one per
+integration.  There is no module-level cache, so threads that each advance
+their own run share nothing.
 """
 
 from __future__ import annotations
@@ -109,21 +115,54 @@ def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> n
     return nu * lattice.kmod_array ** (2.0 * alpha)
 
 
-def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
+class StepWorkspace:
+    """The arrays IF-RK4 steps on one lattice reuse, all on the k_n >= 0 half.
+
+    It holds the half-width dissipation symbol, the (n + n^2)-component batch
+    that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
+    and four stage buffers (RHS output, b + c, stage input, accumulator).
+    `lattice` supplies the RHS's and the cleanup's 2/3-rule mask.
+
+    A workspace is built once and reused across steps by one caller at a
+    time, never shared between threads.  `advance` builds one per run and
+    drops it before each diagnostics record, whose own arrays would otherwise
+    stack on top of it, and builds it again at the next step; a `step`
+    called without one builds a fresh one.  A step's result never lives in
+    the workspace, so it may be fed back as the next step's input.
+    """
+
+    def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray):
+        n, half = lattice.n, lattice.N // 2 + 1
+        half_shape = lattice.shape[:-1] + (half,)
+        self.lattice = lattice
+        self.symbol = np.ascontiguousarray(symbol[..., :half])  # full or half width
+        self.batch = np.empty((n + n * n,) + half_shape, dtype=np.complex128)
+        self.conv = np.empty((n,) + lattice.shape)
+        self.stages = np.empty((4, n) + half_shape, dtype=np.complex128)
+
+
+def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
+                  work: StepWorkspace | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """-P[(u.grad)u] on the k_n >= 0 half spectrum (array level).
 
     Velocity and all partial derivatives are transformed to the grid, the
     convective products are formed pointwise, and the result is transformed
     back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` may be
     the full spectrum or its half; the result is the half, (n, N, ..., N//2 + 1).
+    The transform batch and grid product go to `work`'s arrays, and the
+    cleanup runs in place on `out`; either one is fresh when None.  `coeffs`
+    is not written.
     """
     n = lattice.n
-    vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs)
-    conv = np.einsum("j...,ij...->i...", vel, deriv)  # deriv[i, j] = d_j u_i
-    out = dealias_coeffs(lattice, grid_to_coeffs(conv, n))
-    out = leray_project_coeffs(lattice, out)
+    vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs,
+                                        batch=None if work is None else work.batch)
+    conv = np.einsum("j...,ij...->i...", vel, deriv,  # deriv[i, j] = d_j u_i
+                     out=None if work is None else work.conv)
+    out = dealias_coeffs(lattice, grid_to_coeffs(conv, n), out=out)
+    leray_project_coeffs(lattice, out, out=out)
     out[(slice(None),) + (0,) * n] = 0.0
-    return -out
+    return np.negative(out, out=out)
 
 
 def compute_pressure(u: SpectralVectorField) -> np.ndarray:
@@ -140,57 +179,78 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
     return full_spectrum(g_hat * lat.inv_ksq_array[..., : g_hat.shape[-1]], lat.n)
 
 
-def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs) -> np.ndarray:
+def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
+                stages: np.ndarray | None = None) -> np.ndarray:
     """One integrating-factor RK4 step on raw coefficients.
 
-    `symbol` is the dissipative symbol nu |k|^(2*alpha); `rhs` maps
-    coefficients to the nonlinear tendency.  Exact when rhs == 0.
+    `symbol` is the dissipative symbol nu |k|^(2*alpha); `rhs(c, out)` writes
+    the nonlinear tendency at c into out and leaves c unchanged.  The stages
+    run in place in the four arrays of `stages`, each shaped like coeffs
+    (fresh ones when None), with the operation order of
+    e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d).  `coeffs` is not
+    written and the result is a new array.  Exact when rhs == 0.
     """
+    if stages is None:
+        stages = np.empty((4,) + coeffs.shape, dtype=np.complex128)
+    r, bc, u, acc = stages
+    h = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
         e_half = np.exp(-0.5 * dt * symbol)
         e_full = e_half * e_half
-        a = rhs(coeffs)
-        u_a = e_half * (coeffs + 0.5 * dt * a)
-        b = rhs(u_a)
-        u_b = e_half * coeffs + 0.5 * dt * b
-        c = rhs(u_b)
-        u_c = e_full * coeffs + dt * e_half * c
-        d = rhs(u_c)
-        return e_full * coeffs + (dt / 6.0) * (
-            e_full * a + 2.0 * e_half * (b + c) + d
-        )
+        rhs(coeffs, r)  # a
+        np.multiply(h, r, out=u)
+        np.add(coeffs, u, out=u)
+        np.multiply(e_half, u, out=u)  # e_half (coeffs + h a)
+        np.multiply(e_full, r, out=acc)
+        rhs(u, bc)  # b
+        np.multiply(h, bc, out=r)
+        np.multiply(e_half, coeffs, out=u)
+        np.add(u, r, out=u)  # e_half coeffs + h b
+        rhs(u, r)  # c
+        np.add(bc, r, out=bc)
+        np.multiply(dt * e_half, r, out=r)
+        np.multiply(e_full, coeffs, out=u)
+        np.add(u, r, out=u)  # e_full coeffs + dt e_half c
+        rhs(u, r)  # d
+        np.multiply(2.0 * e_half, bc, out=bc)
+        np.add(acc, bc, out=acc)
+        np.add(acc, r, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        new = np.multiply(e_full, coeffs)
+        return np.add(new, acc, out=new)
 
 
-def _step_half(lattice: WavenumberLattice, coeffs: np.ndarray, dt: float,
-               symbol: np.ndarray) -> np.ndarray:
+def _step_half(coeffs: np.ndarray, dt: float, work: StepWorkspace) -> np.ndarray:
     """IF-RK4 step plus cleanup on k_n >= 0 half-spectrum arrays.
 
-    `symbol` may be full or half width.  The RHS and the cleanup always apply
-    the lattice's 2/3-rule mask; verify's faults are inputs it builds itself.
+    The RHS and the cleanup apply the 2/3-rule mask of `work.lattice`;
+    verify's faults are inputs it builds into the workspace itself.  The
+    result is a new array, outside the workspace.
     """
-    symbol = symbol[..., : coeffs.shape[-1]]
-    rhs = lambda c: nonlinear_rhs(lattice, c)
-    new = if_rk4_step(coeffs, dt, symbol, rhs)
+    lattice = work.lattice
+    rhs = lambda c, out: nonlinear_rhs(lattice, c, work, out)
+    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages)
     # divergence cleanup: cheap, stops projection drift from accumulating
-    new = dealias_coeffs(lattice, new)
-    new = leray_project_coeffs(lattice, new)
+    dealias_coeffs(lattice, new, out=new)
+    leray_project_coeffs(lattice, new, out=new)
     new[(slice(None),) + (0,) * lattice.n] = 0.0
     return new
 
 
 def step(state: SolverState, dt: float, cfg: SolverConfig,
-         symbol: np.ndarray | None = None) -> SolverState:
+         work: StepWorkspace | None = None) -> SolverState:
     """Advance one RK4 step of size dt; raises Diverged on non-finite output.
 
-    `symbol`, full or half width, defaults to the dissipation symbol of cfg.
-    The step runs on the k_n >= 0 half and completes the result once.
+    `work` defaults to a fresh workspace on the state's lattice with the
+    dissipation symbol of cfg.  The step runs on the k_n >= 0 half and
+    completes the result once.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     lat = state.u.lattice
-    if symbol is None:
-        symbol = half_spectrum(dissipation_symbol(lat, cfg.alpha, cfg.nu))
-    new = _step_half(lat, half_spectrum(state.u.coeffs), dt, symbol)
+    if work is None:
+        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
+    new = _step_half(half_spectrum(state.u.coeffs), dt, work)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise Diverged(t_new, state.step_count + 1)
@@ -218,10 +278,14 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
-    symbol = half_spectrum(dissipation_symbol(state.u.lattice, cfg.alpha, cfg.nu))
+    lat = state.u.lattice
+    symbol = half_spectrum(dissipation_symbol(lat, cfg.alpha, cfg.nu))
+    work = None
 
     def emit(st, dt_last):
+        nonlocal work
         if sink is not None:
+            work = None  # a record's arrays would stack on the workspace's
             sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last))
 
     emit(state, 0.0)
@@ -230,8 +294,10 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     eps = 1e-14 * max(1.0, cfg.t_end)
     while state.t < cfg.t_end - eps:
         dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
+        if work is None:
+            work = StepWorkspace(lat, symbol)
         try:
-            state = step(state, dt, cfg, symbol=symbol)
+            state = step(state, dt, cfg, work)
         except Diverged:
             state = SolverState(
                 u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),

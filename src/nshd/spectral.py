@@ -11,9 +11,10 @@ so Parseval reads  integral |f|^2 dx = (2*pi)^n * sum_k |c(k)|^2.
 The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
 
-All operations here are pure functions: fields are treated as immutable values
-and every operation returns a fresh field, so values can be shared freely
-between threads.
+Fields are treated as immutable values and every operation returns a fresh
+field, so values can be shared freely between threads.  The exception is an
+array-level operation given an `out=` (or `batch=`) array: it writes its
+result there instead, and that array belongs to the caller alone.
 """
 
 from __future__ import annotations
@@ -208,17 +209,20 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
-                           lead: np.ndarray | None = None):
+                           lead: np.ndarray | None = None,
+                           batch: np.ndarray | None = None):
     """Grid values of `lead` and of grad u, from one inverse transform.
 
     Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`.  The batch of
     m + n^2 components (m = len(lead), 0 when lead is None) is built on the
-    k_n >= 0 half spectrum only, which is all `coeffs_to_grid` reads.
+    k_n >= 0 half spectrum only, which is all `coeffs_to_grid` reads; it is
+    built in `batch` when given, a complex array of that shape.
     """
     n = lattice.n
     half = lattice.N // 2 + 1
     m = 0 if lead is None else len(lead)
-    batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
+    if batch is None:
+        batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
     if m:
         batch[:m] = lead[..., :half]
     ik = [1j * g[..., :half] for g in lattice.mode_grids]
@@ -233,8 +237,11 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
 # -- operators ----------------------------------------------------------------
 
 
-def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
+def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
+
+    The result goes to `out` when given, which may be `coeffs` itself.
 
     Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1).
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
@@ -249,7 +256,10 @@ def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.n
     grids = [g[..., :width] for g in lattice.mode_grids]
     div = sum(grids[j] * coeffs[j] for j in range(lattice.n))
     div_over_ksq = div * lattice.inv_ksq_array[..., :width]
-    out = coeffs.copy()
+    if out is None:
+        out = coeffs.copy()
+    elif out is not coeffs:
+        np.copyto(out, coeffs)
     for j in range(lattice.n):
         out[j] -= grids[j] * div_over_ksq
     return out
@@ -266,9 +276,14 @@ def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np
     return 1j * grids[axis] * u.coeffs[component]
 
 
-def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
-    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half."""
-    return coeffs * lattice.dealias_mask_array[..., : coeffs.shape[-1]]
+def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half.
+
+    The result goes to `out` when given, which may be `coeffs` itself.
+    """
+    return np.multiply(coeffs, lattice.dealias_mask_array[..., : coeffs.shape[-1]],
+                       out=out)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:

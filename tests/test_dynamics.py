@@ -1,6 +1,7 @@
 """Right-hand side assembly, pressure, integrating-factor stepping, advance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from nshd.dynamics import (
     Diverged,
     SolverConfig,
     SolverState,
+    StepWorkspace,
+    _step_half,
     advance,
     cfl_dt,
     compute_pressure,
@@ -28,8 +31,11 @@ from nshd.spectral import (
     dealias_coeffs,
     divergence_defect,
     full_spectrum,
+    grid_to_coeffs,
+    half_spectrum,
     hermitian_defect,
     leray_project_coeffs,
+    velocity_gradient_grid,
     vorticity,
 )
 
@@ -251,7 +257,7 @@ def test_step_exact_decay_single_mode():
         coeffs[i][1, 1] = sgn * a
         coeffs[i][-1, -1] = sgn * a
     symbol = dissipation_symbol(lat, 1.0, 1.0)
-    out = if_rk4_step(coeffs, 0.1, symbol, lambda c: np.zeros_like(c))
+    out = if_rk4_step(coeffs, 0.1, symbol, lambda c, tendency: tendency.fill(0.0))
     np.testing.assert_allclose(out, coeffs * np.exp(-0.2), rtol=1e-14, atol=0)
 
 
@@ -285,8 +291,8 @@ def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
     def rel_err(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    for given_symbol in (None, symbol):  # step slices a full-width symbol
-        one = step(SolverState(u=u0), 1e-3, cfg, symbol=given_symbol)
+    for work in (None, StepWorkspace(u0.lattice, symbol)):  # halves a full-width symbol
+        one = step(SolverState(u=u0), 1e-3, cfg, work)
         assert one.u.coeffs.shape == u0.coeffs.shape
         assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
     final = advance(SolverState(u=u0), cfg)
@@ -338,6 +344,106 @@ def test_step_diverged_error():
         step(state, 0.1, cfg)
     assert err.value.t == pytest.approx(0.6)
     assert err.value.step == 8
+
+
+# -- step workspace -------------------------------------------------------------------
+
+
+def reference_rhs(lat, coeffs):
+    """nonlinear_rhs written out of place, one fresh array per operation."""
+    vel, deriv = velocity_gradient_grid(lat, coeffs, lead=coeffs)
+    conv = np.einsum("j...,ij...->i...", vel, deriv)
+    out = leray_project_coeffs(lat, dealias_coeffs(lat, grid_to_coeffs(conv, lat.n)))
+    out[(slice(None),) + (0,) * lat.n] = 0.0
+    return -out
+
+
+def reference_if_rk4_step(coeffs, dt, symbol, rhs):
+    """if_rk4_step written out of place, one fresh array per operation."""
+    e_half = np.exp(-0.5 * dt * symbol)
+    e_full = e_half * e_half
+    a = rhs(coeffs)
+    b = rhs(e_half * (coeffs + 0.5 * dt * a))
+    c = rhs(e_half * coeffs + 0.5 * dt * b)
+    d = rhs(e_full * coeffs + dt * e_half * c)
+    return e_full * coeffs + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+
+
+def workspace_for(u, cfg):
+    return StepWorkspace(u.lattice, dissipation_symbol(u.lattice, cfg.alpha, cfg.nu))
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
+    u = make_random_field(n=n, N=N, seed=43, band=(1, 5))
+    lat = u.lattice
+    work = workspace_for(u, SolverConfig(n=n, N=N, alpha=1.25, nu=0.3, t_end=1.0))
+    coeffs = half_spectrum(u.coeffs)
+    rhs = nonlinear_rhs(lat, coeffs, work, work.stages[0])
+    assert rhs.tobytes() == reference_rhs(lat, coeffs).tobytes()
+    got = if_rk4_step(coeffs, 2e-3, work.symbol,
+                      lambda c, out: nonlinear_rhs(lat, c, work, out), work.stages)
+    want = reference_if_rk4_step(coeffs, 2e-3, work.symbol, lambda c: reference_rhs(lat, c))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_rhs_and_steps_leave_their_input_alone(n, N):
+    u = make_random_field(n=n, N=N, seed=45, band=(1, 5))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=1.0)
+    work = workspace_for(u, cfg)
+    kept = u.coeffs.copy()
+    nonlinear_rhs(u.lattice, u.coeffs, work, work.stages[0])
+    step(SolverState(u=u), 1e-3, cfg, work)
+    assert u.coeffs.tobytes() == kept.tobytes()
+    coeffs = half_spectrum(u.coeffs)
+    kept = coeffs.copy()
+    new = _step_half(coeffs, 1e-3, work)
+    assert coeffs.tobytes() == kept.tobytes()
+    # verify._evolve feeds the result back in: it must not be a workspace array,
+    # and whatever the workspace still holds must not reach the next step
+    for buffer in (work.symbol, work.batch, work.conv, work.stages):
+        assert not np.shares_memory(new, buffer)
+    again = _step_half(new, 1e-3, work)
+    assert again.tobytes() == _step_half(new, 1e-3, workspace_for(u, cfg)).tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("stride, records", [(1, 8), (3, 4)])
+def test_advance_ends_byte_equal_to_steps_without_a_workspace(n, N, stride, records):
+    # the two strides drop and rebuild advance's workspace at different steps
+    u0 = make_random_field(n=n, N=N, seed=44, band=(1, 5))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.05, t_end=0.02, dt_max=3e-3,
+                       diag_stride=stride)
+    emitted = []
+    final = advance(SolverState(u=u0), cfg, emitted.append)
+    state = SolverState(u=u0)
+    while state.step_count < final.step_count:
+        state = step(state, min(cfl_dt(state.u, cfg), cfg.t_end - state.t), cfg)
+    assert (final.step_count, len(emitted)) == (7, records)
+    assert final.u.coeffs.tobytes() == state.u.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16), (3, 32)])
+def test_warm_step_allocates_at_most_three_transform_batches(n, N):
+    # a batch is the (n + n^2)-component real grid array of one RHS; its
+    # irfftn output is still fresh per call (scipy.fft takes no out=)
+    u = make_random_field(n=n, N=N, seed=46, band=(1, 4))
+    cfg = SolverConfig(n=n, N=N, alpha=1.0, t_end=1.0)
+    work = workspace_for(u, cfg)
+    state = step(SolverState(u=u), 1e-3, cfg, work)  # the first step touches the workspace
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        step(state, 1e-3, cfg, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - live <= 3 * (n + n * n) * N**n * 8
 
 
 def test_timestep_convergence_is_fourth_order():

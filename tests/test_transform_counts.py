@@ -10,11 +10,22 @@ import sys
 import numpy as np
 import pytest
 
+import nshd.dynamics as dynamics
 import nshd.spectral as spectral
 from nshd.diagnostics import compute_diagnostics
 from nshd.dynamics import SolverConfig, SolverState, cfl_dt, nonlinear_rhs, step
 
 from conftest import make_random_field
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` under every name an nshd module binds it to."""
+    for modname, module in list(sys.modules.items()):
+        if module is None or not (modname == "nshd" or modname.startswith("nshd.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture
@@ -28,12 +39,7 @@ def transformed(monkeypatch):
             counts[key] += int(np.prod(values.shape[: values.ndim - n]))
             return original(values, n)
 
-        for modname, module in list(sys.modules.items()):
-            if module is None or not (modname == "nshd" or modname.startswith("nshd.")):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        patch_everywhere(monkeypatch, original, counted)
     return counts
 
 
@@ -60,3 +66,24 @@ def test_diagnostics_record_counts(transformed, n, total):
     u = make_random_field(n=n, N=16, seed=42, band=(1, 4))
     compute_diagnostics(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
     assert transformed["inverse"] + transformed["forward"] == total
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n):
+    # the benchmark's spectral.leray and spectral.dealias spans time these
+    # calls, so in-place cleanup must still go through the two functions
+    calls = {}
+    for module, name in ((dynamics, "nonlinear_rhs"), (spectral, "leray_project_coeffs"),
+                         (spectral, "dealias_coeffs")):
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+    u = make_random_field(n=n, N=16, seed=43, band=(1, 4))
+    step(SolverState(u=u), 1e-3, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
+    assert calls["nonlinear_rhs"] == 4
+    assert calls["leray_project_coeffs"] >= 1 and calls["dealias_coeffs"] >= 1
