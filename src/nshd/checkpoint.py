@@ -6,8 +6,9 @@ Layout (little-endian):
     body: for each component i = 1..n, the complex coefficients in flat
     row-major FFT order, each written as (f64 real, f64 imag).
 
-Writes are atomic: the bytes go to a temporary file in the same directory,
-which then replaces the target, so a failed write leaves the previous file.
+Writes are atomic: `atomic_open` sends the bytes to a temporary file in the
+same directory, which then replaces the target, so a failed write leaves the
+previous file.  The harness writes its run and sweep summaries through it too.
 """
 
 from __future__ import annotations
@@ -39,22 +40,30 @@ class CheckpointMeta:
     seed: int
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """`open` a temporary file beside `path` that replaces it on a clean exit; on
+    an error it is removed, so a failed write leaves `path` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_checkpoint(path, u: SpectralVectorField, alpha: float, nu: float,
                      seed: int = 0) -> None:
     lat = u.lattice
     header = _HEADER.pack(MAGIC, VERSION, lat.n, lat.N, float(alpha), float(nu),
                           float(u.time), int(seed))
     body = np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes()
-    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def read_checkpoint(path):

@@ -71,15 +71,12 @@ def dissipation_rate(u: SpectralVectorField, alpha: float, nu: float) -> float:
 
 def moment_norm(u: SpectralVectorField, component: int, m) -> float:
     """M_m(u_i): mode sum of |k|^m |u_i(k)| (|k|^0 = 1 at k = 0)."""
-    kmod = u.lattice.kmod_array
-    weights = np.ones_like(kmod) if m == 0 else kmod ** float(m)
+    weights = u.lattice.kmod_array ** float(m)
     return float(np.sum(weights * np.abs(u.coeffs[component])))
 
 
 def enstrophy(u: SpectralVectorField) -> float:
-    w = vorticity(u)
-    w_arr = w if isinstance(w, np.ndarray) else w.coeffs
-    return 0.5 * u.lattice.volume * float(np.sum(np.abs(w_arr) ** 2))
+    return 0.5 * u.lattice.volume * float(np.sum(np.abs(vorticity(u)) ** 2))
 
 
 def enstrophy_production(u: SpectralVectorField) -> float:
@@ -87,7 +84,7 @@ def enstrophy_production(u: SpectralVectorField) -> float:
     lat = u.lattice
     if lat.n == 2:
         return 0.0
-    w, grad = velocity_gradient_grid(lat, u.coeffs, lead=vorticity(u).coeffs)
+    w, grad = velocity_gradient_grid(lat, u.coeffs, lead=vorticity(u))
     # omega_i omega_j is symmetric, so the orientation of grad does not matter
     integrand = np.einsum("i...,ij...,j...->...", w, grad, w)
     return lat.cell_volume * float(np.sum(integrand))
@@ -107,8 +104,7 @@ def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
 
 def pressure_moment(u: SpectralVectorField, exponent, p_hat: np.ndarray) -> float:
     """sum_k |k|^j |p_hat(k)| for the pressure p_hat of u (`compute_pressure`)."""
-    kmod = u.lattice.kmod_array
-    weights = np.ones_like(kmod) if exponent == 0 else kmod ** float(exponent)
+    weights = u.lattice.kmod_array ** float(exponent)
     return float(np.sum(weights * np.abs(p_hat)))
 
 
@@ -253,7 +249,6 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
     triangle-inequality fact, exact up to rounding (tolerance 1e-10).
     """
     lat = u.lattice
-    grids = lat.mode_grids
     out = []
     axes = [None] if beta_total == 0 else list(range(lat.n))
     for i in range(lat.n):
@@ -262,7 +257,7 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
             if axis is None:
                 deriv = u.coeffs[i]
             else:
-                deriv = (1j * grids[axis]) ** beta_total * u.coeffs[i]
+                deriv = (1j * lat.mode_grids[axis]) ** beta_total * u.coeffs[i]
             lhs = float(np.max(np.abs(coeffs_to_grid(deriv, lat.n))))
             out.append(MaxNormBoundCheck(i, axis, beta_total, lhs, rhs,
                                    lhs <= rhs + 1e-10))

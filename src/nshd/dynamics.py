@@ -289,8 +289,6 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
             sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last))
 
     emit(state, 0.0)
-    last_emitted = state.step_count
-    dt = 0.0
     eps = 1e-14 * max(1.0, cfg.t_end)
     while state.t < cfg.t_end - eps:
         dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
@@ -305,13 +303,11 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
             )
             emit(state, dt)
             return state
-        if abs(state.t - cfg.t_end) <= eps:
+        final = abs(state.t - cfg.t_end) <= eps
+        if final:
             # snap the time label; the step sizes already sum to t_end
             state = SolverState(u=state.u.with_coeffs(state.u.coeffs, time=cfg.t_end),
                                 step_count=state.step_count)
-        if state.step_count % cfg.diag_stride == 0:
+        if final or state.step_count % cfg.diag_stride == 0:
             emit(state, dt)
-            last_emitted = state.step_count
-    if state.step_count != last_emitted:
-        emit(state, dt)
     return state

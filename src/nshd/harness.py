@@ -1,9 +1,15 @@
 """Experiment orchestration: single runs, alpha sweeps, scaling checks.
 
-Each run writes three artifacts into its output directory:
+Each run writes three artifacts into its output directory (the last two,
+like a sweep's summaries, through `checkpoint.atomic_open`):
     diagnostics.csv        fixed-schema diagnostics stream
     final_checkpoint.nshd  binary spectral checkpoint of the final state
     run_summary.json       config snapshot, wall times, terminal status
+
+`scale_check` runs `scaling.zoom_commutation`, as verify's
+solution_map_commutation does with its fixed-step loop, but evolving by
+`advance` (the zoomed run on t_end and dt_max divided by q^(2*alpha)), and
+`scaling.energy_ratio_error`, both against the bounds `scaling` declares.
 
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
 2 diverged, 3 resolution loss, 4 unwritable output.  A run's status is the
@@ -37,20 +43,20 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.fft
 
-from .checkpoint import write_checkpoint
+from .checkpoint import atomic_open, write_checkpoint
 from .config import ConfigError, RunConfig
-from .diagnostics import FLAGS, csv_header, csv_row, energy
+from .diagnostics import FLAGS, csv_header, csv_row
 from .dynamics import SolverState, advance
 from .initial_conditions import build_initial_field
 from .scaling import (
+    COMMUTATION_TOL,
+    ENERGY_RATIO_TOL,
     apply_discrete_rescale,
-    expected_energy_ratio,
+    energy_ratio_error,
     lions_exponent,
-    scaled_energy_ratio,
-    sub_ball,
+    zoom_commutation,
 )
 
 STATUS_COMPLETED = "completed"  # a run's status is this or the gravest of its FLAGS
@@ -62,8 +68,6 @@ EXIT_RESOLUTION_LOSS = 3
 EXIT_OUTPUT = 4
 
 FFT_THREAD_POINTS = 2 ** 18  # smallest lattice whose runs transform on the budget
-COMMUTATION_TOL = 1e-6  # scale-check pass bounds, relative
-ENERGY_RATIO_TOL = 1e-12
 
 _STATUS_EXIT = dict(zip((*FLAGS, STATUS_COMPLETED),
                         (EXIT_DIVERGED, EXIT_RESOLUTION_LOSS, EXIT_OK), strict=True))
@@ -216,7 +220,7 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
         fft_workers=fft_workers,
         **outcome,
     )
-    with open(os.path.join(out_dir, "run_summary.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "run_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(record), fh, indent=2)
         fh.write("\n")
     return record
@@ -308,7 +312,7 @@ def _read_row_metrics(record: RunRecord, config: RunConfig) -> SweepRow:
 
 def _write_sweep_files(summary: SweepSummary, out_dir) -> None:
     csv_path = os.path.join(out_dir, "sweep_summary.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,status,max_enstrophy,max_M1,resolution_loss_time,"
                  "energy_ratio,is_lions_exponent\n")
         for row in summary.rows:
@@ -318,7 +322,8 @@ def _write_sweep_files(summary: SweepSummary, out_dir) -> None:
                 f"{row.max_m1!r},{loss},{row.energy_ratio!r},"
                 f"{str(row.is_lions_exponent).lower()}\n"
             )
-    with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "sweep_summary.json"), "w",
+                     encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(summary), fh, indent=2)
         fh.write("\n")
 
@@ -347,40 +352,21 @@ class ScaleCheckReport:
 def scale_check(config: RunConfig, q: int) -> ScaleCheckReport:
     """Solution-map commutation and energy-scaling checks for zoom factor q.
 
-    Evolving for t_end and then zooming must agree with zooming first and
-    evolving for t_end / q^(2*alpha).  The evolved field is truncated to the
-    sub-ball |k_j| < N/(3q) before zooming (its image elsewhere is not
-    resolved); the energy dropped is reported separately.
+    A bad or overflowing q is ConfigError("q") before any step.
     """
     cfg = config.solver
     alpha = cfg.alpha
-    lattice = cfg.make_lattice()
-    u0 = build_initial_field(lattice, config.initial_condition)
-
-    # run B zooms, then evolves for rescaled time with rescaled step cap
+    u0 = build_initial_field(cfg.make_lattice(), config.initial_condition)
     try:
-        u0_q = apply_discrete_rescale(u0, q, alpha)
+        apply_discrete_rescale(u0, q, alpha)
     except ValueError as exc:  # q not a positive integer, or RescaleOverflow
         raise ConfigError("q", str(exc)) from exc
-    time_factor = float(q) ** (2.0 * float(alpha))
-    cfg_b = dataclasses.replace(cfg, t_end=cfg.t_end / time_factor,
-                                dt_max=cfg.dt_max / time_factor)
+
+    evolve = lambda u, tf: advance(SolverState(u=u), dataclasses.replace(
+        cfg, t_end=cfg.t_end / tf, dt_max=cfg.dt_max / tf)).u
     with scipy.fft.set_workers(_fft_workers(cfg, thread_budget())):
-        state_a = advance(SolverState(u=u0), cfg)  # run A: evolve, then zoom
-        state_b = advance(SolverState(u=u0_q), cfg_b)
-
-    e_full = energy(state_a.u)
-    sub = sub_ball(state_a.u, q)
-    dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
-    rescaled_a = apply_discrete_rescale(sub, q, alpha)
-
-    diff = rescaled_a.coeffs - state_b.u.coeffs
-    scale = np.sqrt(np.sum(np.abs(state_b.u.coeffs) ** 2))
-    discrepancy = float(np.sqrt(np.sum(np.abs(diff) ** 2)) / scale) if scale else 0.0
-
-    ratio = scaled_energy_ratio(u0, q, alpha, cfg.n)
-    expected = expected_energy_ratio(q, alpha, cfg.n)
-    ratio_err = abs(ratio - expected) / expected
+        discrepancy, dropped = zoom_commutation(u0, q, alpha, evolve)
+    ratio, expected, ratio_err = energy_ratio_error(u0, q, alpha)
 
     return ScaleCheckReport(
         q=int(q), alpha=float(alpha), n=cfg.n, t_end=cfg.t_end,

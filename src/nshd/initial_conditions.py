@@ -103,11 +103,10 @@ def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> Spectral
 
 def _halfspace_mask(lattice: WavenumberLattice) -> np.ndarray:
     """Lexicographically-positive half of the mode lattice (k and -k split)."""
-    grids = lattice.mode_grids
     shape = lattice.shape
     mask = np.zeros(shape, dtype=bool)
     prev_zero = np.ones(shape, dtype=bool)
-    for g in grids:
+    for g in lattice.mode_grids:
         mask |= prev_zero & np.broadcast_to(g > 0, shape)
         prev_zero = prev_zero & np.broadcast_to(g == 0, shape)
     return mask

@@ -2,10 +2,12 @@
 
 The solvability threshold is alpha_L(n) = (2+n)/4: dissipation wins when
 2*alpha - 1 > n/2.  The rescaling symmetry of the equations sends a solution
-u to u_q(x, t) = q^(2*alpha-1) u(qx, q^(2*alpha) t); on the fixed torus the
-energy of the rescaled field picks up q^(4*alpha-2), and after restoring the
-q^(-n) change-of-variables volume factor the ratio is q^(4*alpha-2-n), which
-is 1 exactly at alpha = alpha_L(n).
+u to u_q(x, t) = q^(2*alpha-1) u(qx, q^(2*alpha) t), on the torus the zoom
+c'(qk) = q^(2*alpha-1) c(k), which `spectral.zoom_cut` keeps inside the 2/3
+rule.  With the q^(-n) change-of-variables volume factor restored, the
+energy ratio is q^(4*alpha-2-n), which is 1 exactly at alpha = alpha_L(n).
+`zoom_commutation` and `energy_ratio_error` are the scale checks, run by both
+`harness.scale_check` and the verify suite against the bounds declared here.
 
 Exponent arithmetic accepts exact rationals (fractions.Fraction) so that
 "critical" is decided exactly rather than by float comparison.  The
@@ -22,11 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from .diagnostics import energy
-from .spectral import SpectralVectorField
+from .spectral import SpectralVectorField, zoom_cut
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
+
+
+COMMUTATION_TOL = 1e-6  # pass bounds, relative: `zoom_commutation` discrepancy
+ENERGY_RATIO_TOL = 1e-12  # and `energy_ratio_error`
 
 
 class RescaleOverflow(ValueError):
@@ -62,8 +68,8 @@ def solvability_margin(n: int, alpha):
 def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVectorField:
     """Torus zoom: c'(q k) = q^(2*alpha-1) c(k), zero elsewhere.
 
-    Requires q * (max active |k_j|) < N/3 so the image stays dealiased;
-    otherwise raises RescaleOverflow.
+    Requires every active mode inside `zoom_cut` for q, so the image stays
+    dealiased; otherwise raises RescaleOverflow.
     """
     if int(q) != q or q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
@@ -71,15 +77,8 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
     lat = u.lattice
     N = lat.N
     active = np.abs(u.coeffs).sum(axis=0) > 0
-    if active.any():
-        grids = lat.mode_grids
-        kmax = 0
-        for g in grids:
-            comp_max = np.max(np.abs(np.broadcast_to(g, lat.shape))[active])
-            kmax = max(kmax, int(comp_max))
-    else:
-        kmax = 0
-    if not q * kmax < N / 3:
+    kmax = int(lat.kmax_array[active].max()) if active.any() else 0
+    if not zoom_cut(kmax, q, N):
         raise RescaleOverflow(
             f"q={q} pushes active modes (max |k_j|={kmax}) past N/3={N / 3:g}"
         )
@@ -97,13 +96,29 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
 
 
 def sub_ball(u: SpectralVectorField, q: int) -> SpectralVectorField:
-    """u truncated to |k_j| <= ceil(N/(3q)) - 1, the modes a zoom by q keeps dealiased."""
+    """u truncated to the modes inside `zoom_cut` for q, which a zoom by q keeps dealiased."""
     lat = u.lattice
-    sub_kmax = int(np.ceil(lat.N / 3.0 / q)) - 1
-    mask = np.ones(lat.shape, dtype=bool)
-    for g in lat.mode_grids:
-        mask &= np.abs(g) <= sub_kmax
-    return u.with_coeffs(u.coeffs * mask)
+    return u.with_coeffs(u.coeffs * zoom_cut(lat.kmax_array, q, lat.N))
+
+
+def zoom_commutation(u0: SpectralVectorField, q: int, alpha, evolve) -> tuple[float, float]:
+    """(relative L2 discrepancy, dropped energy fraction) of evolve-then-zoom
+    against zoom-then-evolve for a zoom by q; a bad q raises before any evolve.
+
+    `evolve(u, time_factor)` returns u evolved over the caller's horizon, with
+    it and the step bound divided by time_factor: q^(2*alpha) for the zoomed
+    run, 1 for the other.  The evolved field is cut to `sub_ball` before its
+    zoom (its image elsewhere is not resolved), dropping that energy fraction.
+    """
+    b = evolve(apply_discrete_rescale(u0, q, alpha), float(q) ** (2.0 * float(alpha))).coeffs
+    a = evolve(u0, 1.0)
+    e_full = energy(a)
+    sub = sub_ball(a, q)
+    dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
+    diff = apply_discrete_rescale(sub, q, alpha).coeffs - b
+    scale = np.sqrt(np.sum(np.abs(b) ** 2))
+    discrepancy = float(np.sqrt(np.sum(np.abs(diff) ** 2)) / scale) if scale else 0.0
+    return discrepancy, dropped
 
 
 def expected_energy_ratio(q: int, alpha, n: int) -> float:
@@ -111,7 +126,7 @@ def expected_energy_ratio(q: int, alpha, n: int) -> float:
     return float(q) ** (4.0 * float(alpha) - 2.0 - n)
 
 
-def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha, n: int) -> float:
+def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha) -> float:
     """E(u_q) * q^(-n) / E(u); equals `expected_energy_ratio` by Parseval.
 
     The q^(-n) factor restores the R^n change-of-variables Jacobian that the
@@ -121,7 +136,14 @@ def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha, n: int) -> float:
     if e0 == 0.0:
         raise ValueError("scaled energy ratio is undefined for the zero field")
     e_q = energy(apply_discrete_rescale(u, q, alpha))
-    return e_q * float(q) ** (-float(n)) / e0
+    return e_q * float(q) ** (-float(u.lattice.n)) / e0
+
+
+def energy_ratio_error(u: SpectralVectorField, q: int, alpha) -> tuple[float, float, float]:
+    """(scaled, expected, relative error) of the energy ratio of a zoom by q."""
+    ratio = scaled_energy_ratio(u, q, alpha)
+    expected = expected_energy_ratio(q, alpha, u.lattice.n)
+    return ratio, expected, abs(ratio - expected) / expected
 
 
 def gaussian_moment(n: int, ell, sigma) -> float:

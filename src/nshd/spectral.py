@@ -19,6 +19,7 @@ result there instead, and that array belongs to the caller alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import reprlib
 import sys
@@ -53,6 +54,12 @@ def check_grid(n, N) -> None:
         raise ConfigError("N", f"must be even with 8 <= N <= 512, got {N!r}")
 
 
+def zoom_cut(kmax, q: int, N: int):
+    """q * kmax < N/3: a zoom by q keeps modes of max_j |k_j| = kmax (number or
+    array) inside the 2/3 rule of N points per axis; q = 1 is the dealias mask."""
+    return q * kmax < N / 3.0
+
+
 @dataclass(frozen=True)
 class WavenumberLattice:
     """Discrete Fourier grid for an n-dimensional periodic box.
@@ -71,8 +78,11 @@ class WavenumberLattice:
     n: int
     N: int
 
-    # cached arrays, filled in __post_init__
+    # cached arrays, filled in __post_init__: `mode_grids` holds the sparse float
+    # (k_1, ..., k_n), `kmax_array` the Chebyshev size max_j |k_j| of each mode
     modes_1d: np.ndarray = field(init=False, repr=False, compare=False)
+    mode_grids: tuple = field(init=False, repr=False, compare=False)
+    kmax_array: np.ndarray = field(init=False, repr=False, compare=False)
     kmod_array: np.ndarray = field(init=False, repr=False, compare=False)
     ksq_array: np.ndarray = field(init=False, repr=False, compare=False)
     inv_ksq_array: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,24 +91,19 @@ class WavenumberLattice:
     def __post_init__(self):
         check_grid(self.n, self.N)
         modes = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-        object.__setattr__(self, "modes_1d", modes)
-        grids = self.mode_grids
-        ksq = sum(g.astype(np.float64) ** 2 for g in grids)
-        mask = np.ones((self.N,) * self.n, dtype=bool)
-        cut = self.N / 3.0
-        for g in grids:
-            mask &= np.abs(g) < cut
-        ksq = np.broadcast_to(ksq, self.shape).copy()
+        grids = tuple(np.meshgrid(*([modes.astype(np.float64)] * self.n),
+                                  indexing="ij", sparse=True))
+        # the sparse grids broadcast to the full shape in both reductions
+        kmax = functools.reduce(np.maximum, map(np.abs, grids))
+        ksq = sum(g**2 for g in grids)
         inv_ksq = np.divide(1.0, ksq, out=np.zeros(self.shape), where=ksq > 0)
+        object.__setattr__(self, "modes_1d", modes)
+        object.__setattr__(self, "mode_grids", grids)
+        object.__setattr__(self, "kmax_array", kmax)
         object.__setattr__(self, "ksq_array", ksq)
         object.__setattr__(self, "inv_ksq_array", inv_ksq)
         object.__setattr__(self, "kmod_array", np.sqrt(ksq))
-        object.__setattr__(self, "dealias_mask_array", mask)
-
-    @property
-    def mode_grids(self):
-        """Sparse integer mode arrays (k_1, ..., k_n), broadcastable to `shape`."""
-        return np.meshgrid(*([self.modes_1d] * self.n), indexing="ij", sparse=True)
+        object.__setattr__(self, "dealias_mask_array", zoom_cut(kmax, 1, self.N))
 
     @property
     def shape(self):
@@ -272,8 +277,7 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
 def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np.ndarray:
     """Coefficients of d(u_component)/d(x_axis): multiply by i*k_axis."""
-    grids = u.lattice.mode_grids
-    return 1j * grids[axis] * u.coeffs[component]
+    return 1j * u.lattice.mode_grids[axis] * u.coeffs[component]
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
@@ -291,11 +295,11 @@ def dealias(u: SpectralVectorField) -> SpectralVectorField:
     return u.with_coeffs(dealias_coeffs(u.lattice, u.coeffs))
 
 
-def vorticity(u: SpectralVectorField):
-    """Curl of the velocity field.
+def vorticity(u: SpectralVectorField) -> np.ndarray:
+    """Coefficients of the curl of the velocity field.
 
-    Returns a spectral scalar array for n=2 (omega = d_x u_2 - d_y u_1) and a
-    SpectralVectorField for n=3.
+    A scalar array for n=2 (omega = d_x u_2 - d_y u_1) and a component-first
+    vector array, shaped like `u.coeffs`, for n=3.
     """
     lat = u.lattice
     g = lat.mode_grids
@@ -306,7 +310,7 @@ def vorticity(u: SpectralVectorField):
     w[0] = 1j * (g[1] * c[2] - g[2] * c[1])
     w[1] = 1j * (g[2] * c[0] - g[0] * c[2])
     w[2] = 1j * (g[0] * c[1] - g[1] * c[0])
-    return SpectralVectorField(lat, w, u.time)
+    return w
 
 
 # -- invariant helpers (used by tests and the verification suite) --------------

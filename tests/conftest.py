@@ -1,3 +1,5 @@
+import errno
+
 import hypothesis
 import numpy as np
 import pytest
@@ -39,6 +41,26 @@ def zero_field(lattice, time=0.0):
     return SpectralVectorField(
         lattice, np.zeros((lattice.n,) + lattice.shape, dtype=np.complex128), time
     )
+
+
+class FullDisk:
+    """A file wrapper that writes the first chunk, then half the next, then fails."""
+
+    def __init__(self, fh):
+        self.fh, self.calls = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == 1:
+            return self.fh.write(data)
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def mean_mode(u):

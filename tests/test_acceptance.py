@@ -126,12 +126,12 @@ def test_criterion_4_scaling_criticality():
         u = taylor_green(build_lattice(n, N), 1.0)
         for q in (2, 3):
             for alpha in (0.75, 1.0, 1.25):
-                ratio = scaled_energy_ratio(u, q, alpha, n)
+                ratio = scaled_energy_ratio(u, q, alpha)
                 expected = float(q) ** (4 * alpha - 2 - n)
                 worst_ratio = max(worst_ratio, abs(ratio - expected) / expected)
             a_crit = float(lions_exponent(n))
             worst_critical = max(
-                worst_critical, abs(scaled_energy_ratio(u, q, a_crit, n) - 1.0)
+                worst_critical, abs(scaled_energy_ratio(u, q, a_crit) - 1.0)
             )
 
     worst_comm = 0.0

@@ -1,6 +1,5 @@
 """Binary checkpoint format: roundtrip, layout, rejection of bad files."""
 
-import errno
 import struct
 
 import numpy as np
@@ -14,7 +13,7 @@ from nshd.checkpoint import (
     write_checkpoint,
 )
 
-from conftest import make_random_field
+from conftest import FullDisk, make_random_field
 
 
 def test_roundtrip(tmp_path):
@@ -141,26 +140,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "state.nshd"
     write_checkpoint(path, make_random_field(seed=43, N=16), alpha=1.0, nu=1.0)
     before = path.read_bytes()
-
-    class FullDisk:
-        """Writes the header, then half the body, then fails."""
-
-        def __init__(self, fh):
-            self.fh, self.calls = fh, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.calls += 1
-            if self.calls == 1:
-                return self.fh.write(data)
-            self.fh.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
+    # FullDisk writes the header, then half the body, then fails
     monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):

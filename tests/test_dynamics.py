@@ -150,7 +150,7 @@ def full_spectrum_reference(u):
     p = dealias_coeffs(lat, trace_hat) / ksq
     production = 0.0
     if n == 3:
-        w = inv(vorticity(u).coeffs)
+        w = inv(vorticity(u))
         production = lat.cell_volume * float(
             np.sum(np.einsum("i...,ji...,j...->...", w, d, w)))
     return rhs, p, production

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 import scipy.fft
 
-from nshd import dynamics, harness, verify
+from nshd import checkpoint, dynamics, harness, verify
 from nshd.checkpoint import read_checkpoint
 from nshd.cli import main
 from nshd.config import ConfigError, load_config, parse_config
@@ -23,6 +23,8 @@ from nshd.harness import (
     sweep_threads,
     thread_budget,
 )
+
+from conftest import FullDisk
 
 
 def make_config(tmp_path, name="run.json", **overrides):
@@ -157,6 +159,26 @@ def test_sweep_rows_and_marker(tmp_path):
         assert row.energy_ratio < 1.0  # viscous decay
     assert (tmp_path / "sw" / "sweep_summary.csv").exists()
     assert (tmp_path / "sw" / "sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize("target", ["run_summary.json", "sweep_summary.csv",
+                                    "sweep_summary.json"])
+def test_failed_summary_write_keeps_previous_file(tmp_path, monkeypatch, target):
+    config = load_config(make_config(tmp_path, **{"solver.N": 16, "solver.t_end": 0.02}))
+    out = tmp_path / "sw"
+    sweep(config, [1.0], out)
+    path = next(out.rglob(target))
+    before = path.read_bytes()
+
+    def open_target_on_full_disk(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return FullDisk(fh) if os.path.basename(file).startswith(target) else fh
+
+    monkeypatch.setattr(checkpoint, "open", open_target_on_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        sweep(config, [1.0], out)
+    assert path.read_bytes() == before
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_sweep_duplicate_alpha_rejected(tmp_path):

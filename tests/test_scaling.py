@@ -1,5 +1,6 @@
 """Exponent calculus, discrete rescaling, Gaussian moment oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,8 +23,15 @@ from nshd.scaling import (
     scaled_energy_ratio,
     solvability_margin,
     sub_ball,
+    zoom_commutation,
 )
-from nshd.spectral import build_lattice, divergence_defect, hermitian_defect
+from nshd.spectral import (
+    SpectralVectorField,
+    build_lattice,
+    divergence_defect,
+    hermitian_defect,
+    zoom_cut,
+)
 
 from conftest import make_random_field, zero_field
 
@@ -113,6 +121,55 @@ def test_sub_ball_keeps_what_a_zoom_keeps_dealiased(q):
     apply_discrete_rescale(sub, q, 1.0)  # fits: no RescaleOverflow
 
 
+# the one zoom cut against the three formulas it replaced, written out inline:
+# the dealias mask |k_j| < N/3, the sub-ball |k_j| <= ceil(N/(3q)) - 1 and the
+# rescale overflow check q max|k_j| < N/3
+
+
+def test_zoom_cut_matches_the_former_formulas_for_every_grid():
+    for N in range(8, 513, 2):
+        qs = np.arange(1, N + 1)
+        k = np.arange(N // 2 + 1, dtype=np.float64)  # |k| <= N/2, float like kmax_array
+        sub_kmax = np.array([int(np.ceil(N / 3.0 / q)) - 1 for q in qs])
+        cut = zoom_cut(k[None, :], qs[:, None], N)
+        np.testing.assert_array_equal(cut, k[None, :] <= sub_kmax[:, None])
+        np.testing.assert_array_equal(cut[0], k < N / 3.0)
+        for q, edge in zip(qs.tolist(), sub_kmax.tolist()):
+            for kmax in (edge, edge + 1):  # Python ints, as the overflow check passes them
+                assert zoom_cut(kmax, q, N) == (q * kmax < N / 3) == (kmax <= edge)
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 12), (2, 32), (3, 8), (3, 12), (3, 18)])
+def test_lattice_masks_match_the_former_per_axis_formulas(n, N):
+    lat = build_lattice(n, N)
+    u = make_random_field(n=n, N=N, seed=66, band=(1, (N + 2) // 3 - 1))  # k_max < N/3
+    for q in range(1, N + 1):
+        sub_kmax = int(np.ceil(N / 3.0 / q)) - 1
+        old_dealias = np.ones(lat.shape, dtype=bool)
+        old_sub = np.ones(lat.shape, dtype=bool)
+        for g in lat.mode_grids:
+            old_dealias &= np.abs(g) < N / 3.0
+            old_sub &= np.abs(g) <= sub_kmax
+        if q == 1:
+            np.testing.assert_array_equal(lat.dealias_mask_array, old_dealias)
+        np.testing.assert_array_equal(zoom_cut(lat.kmax_array, q, N), old_sub)
+        np.testing.assert_array_equal(sub_ball(u, q).coeffs, u.coeffs * old_sub)
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 12)])
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_rescale_accepts_the_sub_ball_and_rejects_one_mode_outside(n, N, q):
+    lat = build_lattice(n, N)
+    full = SpectralVectorField(lat, np.ones((n,) + lat.shape, dtype=np.complex128))
+    inside = sub_ball(full, q)
+    apply_discrete_rescale(inside, q, 1.0)  # fits: no RescaleOverflow
+    edge = int(np.ceil(N / 3.0 / q)) - 1
+    coeffs = inside.coeffs.copy()
+    coeffs[(0, edge + 1) + (0,) * (n - 1)] = 1.0  # max|k_j| just past the sub-ball
+    with pytest.raises(RescaleOverflow):
+        apply_discrete_rescale(inside.with_coeffs(coeffs), q, 1.0)
+
+
 def test_rescale_requires_integer_q():
     u = make_random_field(seed=64, band=(1, 2))
     with pytest.raises(ValueError):
@@ -130,7 +187,7 @@ def test_scaled_energy_ratio_exponent(n, N):
         if q >= N / 3:
             continue
         for alpha in (0.75, 1.0, 1.25, 1.5):
-            ratio = scaled_energy_ratio(u, q, alpha, n)
+            ratio = scaled_energy_ratio(u, q, alpha)
             expected = float(q) ** (4 * alpha - 2 - n)
             assert ratio == pytest.approx(expected, rel=1e-12)
             assert expected_energy_ratio(q, alpha, n) == expected
@@ -141,23 +198,23 @@ def test_scaled_energy_ratio_critical_is_one():
     for n, N in ((2, 32), (3, 16)):
         u = taylor_green(build_lattice(n, N), 1.0)
         alpha = float(lions_exponent(n))
-        assert abs(scaled_energy_ratio(u, 2, alpha, n) - 1.0) <= 1e-14
+        assert abs(scaled_energy_ratio(u, 2, alpha) - 1.0) <= 1e-14
 
 
 def test_scaled_energy_ratio_supercritical_example():
     # n=3, alpha=1, q=2 -> 2^(4-2-3) = 1/2
     u = taylor_green(build_lattice(3, 16), 1.0)
-    assert scaled_energy_ratio(u, 2, 1.0, 3) == pytest.approx(0.5, rel=1e-14)
+    assert scaled_energy_ratio(u, 2, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_scaled_energy_ratio_2d_parabolic_is_critical():
     u = taylor_green(build_lattice(2, 64), 1.0)
-    assert scaled_energy_ratio(u, 3, 1.0, 2) == pytest.approx(1.0, abs=1e-14)
+    assert scaled_energy_ratio(u, 3, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scaled_energy_ratio_rejects_zero_field():
     with pytest.raises(ValueError):
-        scaled_energy_ratio(zero_field(build_lattice(2, 16)), 2, 1.0, 2)
+        scaled_energy_ratio(zero_field(build_lattice(2, 16)), 2, 1.0)
 
 
 # -- Gaussian moments -------------------------------------------------------------------
@@ -254,3 +311,9 @@ def test_solution_map_commutation(alpha, q):
     num = np.linalg.norm(rescaled.coeffs - b_final.coeffs)
     den = np.linalg.norm(b_final.coeffs)
     assert num / den <= 1e-6
+
+    evolve = lambda u, tf: advance(SolverState(u=u), dataclasses.replace(
+        cfg_a, t_end=t_end / tf, dt_max=2e-3 / tf)).u
+    discrepancy, dropped = zoom_commutation(u0, q, alpha, evolve)
+    assert discrepancy == pytest.approx(num / den, rel=1e-12)
+    assert 0.0 <= dropped < 1e-10  # the evolved band (1, 3) barely leaves the sub-ball

@@ -360,7 +360,7 @@ def test_vorticity_constant_field_zero(lattice_2d):
 
 def test_vorticity_3d_divergence_free():
     u = make_random_field(n=3, N=16, seed=26, band=(1, 3))
-    w = vorticity(u)
+    w = SpectralVectorField(u.lattice, vorticity(u))
     assert divergence_defect(w) <= 1e-12
     assert hermitian_defect(w) <= 1e-12
 
