@@ -95,13 +95,16 @@ def load_config(path) -> RunConfig:
     """Read and validate a UTF-8 JSON config file.
 
     A missing file raises FileNotFoundError; a directory, bytes that are not
-    UTF-8 and malformed JSON raise ConfigError.
+    UTF-8, malformed JSON and JSON nested deeper than the parser's recursion
+    limit raise ConfigError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise ConfigError("<file>", str(exc)) from exc
+    except RecursionError as exc:
+        raise ConfigError("<file>", "JSON nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "<file>", f"invalid JSON at line {exc.lineno} column {exc.colno}: "

@@ -3,7 +3,9 @@
 Conventions (Fourier-series coefficients on the 2*pi torus):
     energy            E = 1/2 (2*pi)^n sum_k sum_i |u_i(k)|^2
     dissipation rate  D = nu (2*pi)^n sum_k |k|^(2*alpha) sum_i |u_i(k)|^2
-    moment norm       M_m(u_i) = sum_k |k|^m |u_i(k)|        (plain mode sum)
+    enstrophy         Z = 1/2 (2*pi)^n sum_k |k|^2 sum_i |u_i(k)|^2 = 1/2 ||grad u||^2
+                      (= 1/2 ||omega||^2 on divergence-free fields)
+    moment sum        M_m(v) = sum_k |k|^m |v(k)|  (plain mode sum), v = u_i or p
     Sobolev norm      ||u||_{H^beta}^2 = (2*pi)^n sum_k (1+|k|^2)^beta sum_i |u_i|^2
 
 Along exact solutions dE/dt = -D (the differentiated energy identity, with
@@ -19,9 +21,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import SolverConfig, compute_pressure
+from .dynamics import SolverConfig, compute_pressure, dissipation_symbol
 from .spectral import (
     SpectralVectorField,
+    WavenumberLattice,
     coeffs_to_grid,
     velocity_gradient_grid,
     vorticity,
@@ -57,26 +60,35 @@ class DiagnosticsRecord:
 # -- scalar diagnostics --------------------------------------------------------
 
 
+def _mode_sum(weights: np.ndarray, u: SpectralVectorField) -> float:
+    """sum_k weights(k) sum_i |u_i(k)|^2."""
+    return float(np.sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
+
+
 def energy(u: SpectralVectorField) -> float:
     return 0.5 * u.lattice.volume * float(np.sum(np.abs(u.coeffs) ** 2))
 
 
 def dissipation_rate(u: SpectralVectorField, alpha: float, nu: float) -> float:
-    lat = u.lattice
-    weights = lat.kmod_array ** (2.0 * alpha)
-    return nu * lat.volume * float(
-        np.sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0))
-    )
+    """D, weighted by the step's own `dynamics.dissipation_symbol`."""
+    return u.lattice.volume * _mode_sum(dissipation_symbol(u.lattice, alpha, nu), u)
 
 
-def moment_norm(u: SpectralVectorField, component: int, m) -> float:
-    """M_m(u_i): mode sum of |k|^m |u_i(k)| (|k|^0 = 1 at k = 0)."""
-    weights = u.lattice.kmod_array ** float(m)
-    return float(np.sum(weights * np.abs(u.coeffs[component])))
+def moment_sums(lattice: WavenumberLattice, values, orders) -> list:
+    """[{m: M_m(v)} for each v along the leading axis of `values`] (|k|^0 = 1
+    at k = 0); |v| is formed once per call and |k|^m once per order."""
+    mags = np.abs(values)
+    sums = [{} for _ in mags]
+    for m in orders:
+        weights = lattice.kmod_array ** float(m)
+        for out, mag in zip(sums, mags):
+            out[m] = float(np.sum(weights * mag))
+    return sums
 
 
 def enstrophy(u: SpectralVectorField) -> float:
-    return 0.5 * u.lattice.volume * float(np.sum(np.abs(vorticity(u)) ** 2))
+    """1/2 ||grad u||^2, which is 1/2 ||omega||^2 when div u = 0."""
+    return 0.5 * u.lattice.volume * _mode_sum(u.lattice.ksq_array, u)
 
 
 def enstrophy_production(u: SpectralVectorField) -> float:
@@ -96,16 +108,7 @@ def max_velocity(u: SpectralVectorField) -> float:
 
 def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
     lat = u.lattice
-    weights = (1.0 + lat.ksq_array) ** float(beta)
-    return math.sqrt(
-        lat.volume * float(np.sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
-    )
-
-
-def pressure_moment(u: SpectralVectorField, exponent, p_hat: np.ndarray) -> float:
-    """sum_k |k|^j |p_hat(k)| for the pressure p_hat of u (`compute_pressure`)."""
-    weights = u.lattice.kmod_array ** float(exponent)
-    return float(np.sum(weights * np.abs(p_hat)))
+    return math.sqrt(lat.volume * _mode_sum((1.0 + lat.ksq_array) ** float(beta), u))
 
 
 def tail_fraction(u: SpectralVectorField) -> float:
@@ -251,8 +254,9 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
     lat = u.lattice
     out = []
     axes = [None] if beta_total == 0 else list(range(lat.n))
+    sums = moment_sums(lat, u.coeffs, [beta_total])
     for i in range(lat.n):
-        rhs = moment_norm(u, i, beta_total)
+        rhs = sums[i][beta_total]
         for axis in axes:
             if axis is None:
                 deriv = u.coeffs[i]
@@ -297,16 +301,7 @@ def compute_diagnostics(u: SpectralVectorField, cfg: SolverConfig,
 
 
 def _compute_diagnostics(u, cfg, step, dt):
-    moments = {
-        i: {m: moment_norm(u, i, m) for m in cfg.moment_orders}
-        for i in range(u.lattice.n)
-    }
-    pressure_moments = {}
-    integer_orders = sorted({m for m in cfg.moment_orders if m == int(m)})
-    if integer_orders:
-        p_hat = compute_pressure(u)
-        for m in integer_orders:
-            pressure_moments[m + 1.0] = pressure_moment(u, m + 1.0, p_hat=p_hat)
+    exponents = sorted({m + 1.0 for m in cfg.moment_orders if m == int(m)})
     # D of an inviscid (nu = 0) run is exactly 0, also where |u|^2 is not finite
     record = DiagnosticsRecord(
         step=step,
@@ -317,9 +312,10 @@ def _compute_diagnostics(u, cfg, step, dt):
         enstrophy=enstrophy(u),
         enstrophy_production=enstrophy_production(u),
         max_velocity=max_velocity(u),
-        moments=moments,
+        moments=dict(enumerate(moment_sums(u.lattice, u.coeffs, cfg.moment_orders))),
         sobolev={b: sobolev_norm(u, b) for b in cfg.sobolev_betas},
-        pressure_moments=pressure_moments,
+        pressure_moments=(moment_sums(u.lattice, [compute_pressure(u)], exponents)[0]
+                          if exponents else {}),
         tail_fraction=tail_fraction(u),
     )
     return dataclasses.replace(record, flags=blowup_indicator(record))

@@ -79,9 +79,15 @@ class SolverConfig:
         if not self.alpha > 0:  # else 0 * |k|^(2*alpha) is nan at k = 0
             raise ConfigError("alpha", "must be positive")
         k_max = math.sqrt(self.n) * self.N / 2  # the lattice's largest |k|
-        if 2.0 * self.alpha * math.log10(k_max) > 300:  # else inf symbol, nan at nu = 0
-            raise ConfigError("alpha", f"|k|^(2*alpha) must stay below 1e300 at the largest "
-                                       f"|k| = {k_max:g} of the lattice, got {self.alpha!r}")
+        # each weight stays below 1e300 there, since inf * 0 (nu = 0, an empty mode) is nan
+        weights = [("alpha", "|k|^(2*alpha)", k_max, 2.0 * self.alpha, self.alpha)]
+        weights += [("moment_orders", "|k|^m", k_max, m, m) for m in self.moment_orders]
+        weights += [("sobolev_betas", "(1+|k|^2)^beta", 1.0 + k_max**2, b, b)
+                    for b in self.sobolev_betas]
+        for name, weight, base, power, value in weights:
+            if power * math.log10(base) > 300:
+                raise ConfigError(name, f"{weight} must stay below 1e300 at the largest "
+                                        f"|k| = {k_max:g} of the lattice, got {value!r}")
         if self.nu < 0:
             raise ConfigError("nu", "must be nonnegative (0 is the inviscid run)")
         if self.t_end < 0:

@@ -1,15 +1,18 @@
 """Experiment orchestration: single runs, alpha sweeps, scaling checks.
 
-Each run writes three artifacts into its output directory (the last two,
-like a sweep's summaries, through `checkpoint.atomic_open`):
+Each run writes three artifacts into its output directory:
     diagnostics.csv        fixed-schema diagnostics stream
     final_checkpoint.nshd  binary spectral checkpoint of the final state
     run_summary.json       config snapshot, wall times, terminal status
+These three and a sweep's sweep_summary.csv/.json are written through
+`checkpoint.atomic_open`, so a failed write, or a run that fails while its
+CSV streams, leaves the previous file in place.
 
-`scale_check` runs `scaling.zoom_commutation`, as verify's
-solution_map_commutation does with its fixed-step loop, but evolving by
-`advance` (the zoomed run on t_end and dt_max divided by q^(2*alpha)), and
-`scaling.energy_ratio_error`, both against the bounds `scaling` declares.
+`scale_check` runs `scaling.energy_ratio_error`, which needs no step, and
+then `scaling.zoom_commutation`, as verify's solution_map_commutation does
+with its fixed-step loop, but evolving by `advance` (the zoomed run on t_end
+and dt_max divided by q^(2*alpha)), both against the bounds `scaling`
+declares.
 
 Exit-code taxonomy (used by the CLI): 0 completed, 1 invalid config,
 2 diverged, 3 resolution loss, 4 unwritable output.  A run's status is the
@@ -53,7 +56,6 @@ from .initial_conditions import build_initial_field
 from .scaling import (
     COMMUTATION_TOL,
     ENERGY_RATIO_TOL,
-    apply_discrete_rescale,
     energy_ratio_error,
     lions_exponent,
     zoom_commutation,
@@ -191,7 +193,7 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     records = []
-    with (open(csv_path, "w", encoding="utf-8", newline="\n") as fh,
+    with (atomic_open(csv_path, "w", encoding="utf-8", newline="\n") as fh,
           scipy.fft.set_workers(fft_workers)):
         fh.write(csv_header(cfg) + "\n")
 
@@ -352,13 +354,14 @@ class ScaleCheckReport:
 def scale_check(config: RunConfig, q: int) -> ScaleCheckReport:
     """Solution-map commutation and energy-scaling checks for zoom factor q.
 
-    A bad or overflowing q is ConfigError("q") before any step.
+    A bad q, a zoom past the 2/3 rule or an energy ratio out of float range
+    is ConfigError("q") before any step.
     """
     cfg = config.solver
     alpha = cfg.alpha
     u0 = build_initial_field(cfg.make_lattice(), config.initial_condition)
     try:
-        apply_discrete_rescale(u0, q, alpha)
+        ratio, expected, ratio_err = energy_ratio_error(u0, q, alpha)
     except ValueError as exc:  # q not a positive integer, or RescaleOverflow
         raise ConfigError("q", str(exc)) from exc
 
@@ -366,7 +369,6 @@ def scale_check(config: RunConfig, q: int) -> ScaleCheckReport:
         cfg, t_end=cfg.t_end / tf, dt_max=cfg.dt_max / tf)).u
     with scipy.fft.set_workers(_fft_workers(cfg, thread_budget())):
         discrepancy, dropped = zoom_commutation(u0, q, alpha, evolve)
-    ratio, expected, ratio_err = energy_ratio_error(u0, q, alpha)
 
     return ScaleCheckReport(
         q=int(q), alpha=float(alpha), n=cfg.n, t_end=cfg.t_end,

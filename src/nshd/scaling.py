@@ -36,7 +36,7 @@ ENERGY_RATIO_TOL = 1e-12  # and `energy_ratio_error`
 
 
 class RescaleOverflow(ValueError):
-    """Rescaled spectral support would leave the dealiased ball."""
+    """A zoom would leave the dealiased ball, or its energy ratio float range."""
 
 
 def lions_exponent(n: int) -> Fraction:
@@ -140,9 +140,20 @@ def scaled_energy_ratio(u: SpectralVectorField, q: int, alpha) -> float:
 
 
 def energy_ratio_error(u: SpectralVectorField, q: int, alpha) -> tuple[float, float, float]:
-    """(scaled, expected, relative error) of the energy ratio of a zoom by q."""
-    ratio = scaled_energy_ratio(u, q, alpha)
-    expected = expected_energy_ratio(q, alpha, u.lattice.n)
+    """(scaled, expected, relative error) of the energy ratio of a zoom by q.
+
+    Raises RescaleOverflow when the zoomed energy or q^(4*alpha-2-n) is not
+    a finite float.
+    """
+    with np.errstate(over="ignore"):
+        ratio = scaled_energy_ratio(u, q, alpha)
+    try:
+        expected = expected_energy_ratio(q, alpha, u.lattice.n)
+    except OverflowError:  # float ** float raises where numpy would give inf
+        expected = math.inf
+    if not (math.isfinite(ratio) and math.isfinite(expected)):
+        raise RescaleOverflow(f"the energy ratio of a zoom by q={q} at alpha={alpha!r} "
+                              f"leaves float range")
     return ratio, expected, abs(ratio - expected) / expected
 
 

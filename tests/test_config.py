@@ -51,8 +51,10 @@ BAD_VALUES = [
     ("solver", "moment_orders", ["1"]),
     ("solver", "moment_orders", [True]),
     ("solver", "moment_orders", [10**400]),
+    ("solver", "moment_orders", [300]),  # 11.3^300 > 1e300
     ("solver", "sobolev_betas", [float("inf")]),
     ("solver", "sobolev_betas", [None]),
+    ("solver", "sobolev_betas", [150]),  # 129^150 > 1e300
     ("initial_condition", "kind", "vortex_sheet"),
     ("initial_condition", "amplitude", 0.0),
     ("initial_condition", "spectrum_slope", float("-inf")),

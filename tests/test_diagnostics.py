@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,15 +21,16 @@ from nshd.diagnostics import (
     enstrophy,
     enstrophy_production,
     max_norm_bound_check,
-    moment_norm,
     moment_inequality_rhs,
     moment_inequality_scan,
+    moment_sums,
     sobolev_norm,
     tail_fraction,
 )
-from nshd.dynamics import SolverConfig, SolverState, advance
+from nshd import spectral
+from nshd.dynamics import SolverConfig, SolverState, advance, compute_pressure
 from nshd.initial_conditions import taylor_green
-from nshd.spectral import SpectralVectorField, build_lattice
+from nshd.spectral import SpectralVectorField, build_lattice, vorticity
 
 from conftest import make_random_field, zero_field
 
@@ -58,18 +60,36 @@ def test_dissipation_rate_taylor_green():
 def test_moment_norm_taylor_green():
     lat = build_lattice(2, 32)
     tg = taylor_green(lat, 1.0)
-    assert moment_norm(tg, 0, 0) == pytest.approx(1.0, rel=1e-14)
-    assert moment_norm(tg, 0, 1) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert moment_norm(tg, 0, 2) == pytest.approx(2.0, rel=1e-14)
-    assert moment_norm(zero_field(lat), 0, 2) == 0.0
+    m = moment_sums(lat, tg.coeffs, [0, 1, 2])[0]
+    assert m[0] == pytest.approx(1.0, rel=1e-14)
+    assert m[1] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert m[2] == pytest.approx(2.0, rel=1e-14)
+    assert moment_sums(lat, zero_field(lat).coeffs, [2])[0][2] == 0.0
 
 
 @given(c=st.floats(0.0, 10.0), m=st.sampled_from([0.0, 1.0, 2.0, 2.5]))
 def test_moment_one_homogeneous(c, m):
     u = make_random_field(seed=51)
-    a = moment_norm(u.with_coeffs(c * u.coeffs), 0, m)
-    b = c * moment_norm(u, 0, m)
+    a = moment_sums(u.lattice, c * u.coeffs, [m])[0][m]
+    b = c * moment_sums(u.lattice, u.coeffs, [m])[0][m]
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
+def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
+    # the per-component velocity and the pressure moment, written out
+    orders = (0.0, 1.0, 2.0, 2.5)
+    lat = build_lattice(n, N)
+    for u in (make_random_field(n=n, N=N, seed=56, band=(1, 4)), zero_field(lat)):
+        p_hat = compute_pressure(u)
+        sums = moment_sums(lat, u.coeffs, orders)
+        pressure = moment_sums(lat, [p_hat], orders)
+        assert len(sums) == n and len(pressure) == 1
+        for m in orders:
+            weights = lat.kmod_array ** float(m)
+            for i in range(n):
+                assert sums[i][m] == float(np.sum(weights * np.abs(u.coeffs[i])))
+            assert pressure[0][m] == float(np.sum(weights * np.abs(p_hat)))
 
 
 def test_enstrophy_taylor_green():
@@ -87,6 +107,25 @@ def test_enstrophy_equals_gradient_norm_for_divergence_free():
             np.sum(lat.ksq_array * np.sum(np.abs(u.coeffs) ** 2, axis=0))
         )
         assert enstrophy(u) == pytest.approx(grad_sq, rel=1e-12)
+        half_omega_sq = 0.5 * lat.volume * float(np.sum(np.abs(vorticity(u)) ** 2))
+        assert enstrophy(u) == pytest.approx(half_omega_sq, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,calls", [(2, 0), (3, 1)])
+def test_a_record_builds_the_vorticity_once_in_3d_and_never_in_2d(monkeypatch, n, calls):
+    seen = []
+    original = spectral.vorticity
+
+    def spy(u):
+        seen.append(u)
+        return original(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nshd") and getattr(module, "vorticity", None) is original:
+            monkeypatch.setattr(module, "vorticity", spy)
+    u = make_random_field(n=n, N=16, seed=59, band=(1, 4))
+    compute_diagnostics(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
+    assert len(seen) == calls
 
 
 def test_production_zero_in_2d():

@@ -129,6 +129,39 @@ def test_run_t_end_zero_single_row(tmp_path):
     assert len(lines) == 2  # header + exactly one data row
 
 
+def test_largest_accepted_moment_order_and_sobolev_exponent_stay_finite(tmp_path):
+    # one step further, |k|^m or (1+|k|^2)^beta is inf and inf * 0 at an empty mode nan
+    k_max = math.sqrt(2) * 32 / 2
+    order = 300 / math.log10(k_max) * (1 - 1e-12)
+    beta = 300 / math.log10(1 + k_max**2) * (1 - 1e-12)
+    path = make_config(tmp_path, **{"solver.moment_orders": [0, 1, int(order), order],
+                                    "solver.sobolev_betas": [0, beta]})
+    record = run_config(load_config(path), tmp_path / "out")
+    assert record.exit_code == 0
+    assert set(record.first_flag_time.values()) == {None}
+    rows = Path(record.csv_path).read_text().splitlines()[1:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[:-1])
+
+
+def test_failed_run_keeps_the_previous_diagnostics_csv(tmp_path, monkeypatch):
+    config = load_config(make_config(tmp_path, **{"solver.diag_stride": 1}))
+    out = tmp_path / "out"
+    before = Path(run_config(config, out).csv_path).read_bytes()
+    original, rows = harness.csv_row, []
+
+    def third_row_fails(record, cfg):
+        rows.append(record)
+        if len(rows) == 3:
+            raise RuntimeError("row 3")
+        return original(record, cfg)
+
+    monkeypatch.setattr(harness, "csv_row", third_row_fails)
+    with pytest.raises(RuntimeError, match="row 3"):
+        run_config(config, out)
+    assert (out / "diagnostics.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+
+
 def test_run_determinism_bit_exact(tmp_path):
     path = make_config(
         tmp_path,
@@ -665,17 +698,28 @@ def test_cli_help_exit_0(capsys):
     assert "usage: nshd" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested"])
 def test_cli_run_unreadable_config_exit_1(tmp_path, capsys, kind):
     path = tmp_path / "cfg"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe" + make_config(tmp_path).read_bytes())
+    else:  # deeper than the JSON parser's recursion limit
+        path.write_text("[" * 200000 + "]" * 200000)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert "invalid config: <file>:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_scale_check_overflowing_energy_ratio_exit_1_before_any_step(
+        tmp_path, capsys, step_workers):
+    # 10^(4*100-2-2) and the zoomed energy leave float range
+    path = make_config(tmp_path, **{"solver.alpha": 100.0, "solver.t_end": 0.01})
+    assert main(["scale-check", "--config", str(path), "--q", "10"]) == 1
+    assert "invalid config: q:" in capsys.readouterr().err
+    assert step_workers == []
 
 
 def test_cli_exponents_overflowing_alpha_exit_1(capsys):
