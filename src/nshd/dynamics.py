@@ -16,14 +16,28 @@ transform batch, the grid product and the RK4 stages) live in a
 record and builds it again at the next step; `verify` builds one per
 integration.  There is no module-level cache, so threads that each advance
 their own run share nothing.
+
+The pointwise work of a step runs in k row slabs, cut along the first
+wavenumber (or grid) axis of its arrays: the RHS batch assembly, the grid
+product and the RHS cleanup, the IF-RK4 stage updates and the step's
+divergence cleanup.  Each slab is written by one thread only, and every
+element goes through the same operations in the same order whatever k is,
+so outputs are byte-identical for every k.  k is the `scipy.fft` worker
+count in force when `advance` starts (`harness` sets it); `advance` owns a
+`SlabPool` of k - 1 threads for that one run and the calling thread runs
+slab 0.  The transforms, the finiteness check, `cfl_dt`, `full_spectrum`
+and the diagnostics records stay whole on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .spectral import (
     ConfigError,
@@ -35,6 +49,7 @@ from .spectral import (
     coeffs_to_grid,
     dealias_coeffs,
     full_spectrum,
+    gradient_batch,
     grid_to_coeffs,
     half_spectrum,
     leray_project_coeffs,
@@ -121,6 +136,43 @@ def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> n
     return nu * lattice.kmod_array ** (2.0 * alpha)
 
 
+class SlabPool:
+    """The threads that run k row slabs: k - 1 pool threads and the caller.
+
+    A context manager; leaving it shuts the pool threads down.  k = 1
+    starts no thread.
+    """
+
+    def __init__(self, k: int = 1):
+        self.k = k
+        self._pool = (ThreadPoolExecutor(max_workers=k - 1, thread_name_prefix="nshd-slab")
+                      if k > 1 else None)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def run(self, fn, slabs) -> None:
+        """fn(rows) for each slab, slab 0 on the calling thread.
+
+        Returns once every slab is done and re-raises the first error.  Each
+        pool task runs in a copy of the caller's context, so a slab sees the
+        caller's `np.errstate`.
+        """
+        futures = [self._pool.submit(contextvars.copy_context().run, fn, rows)
+                   for rows in slabs[1:]]
+        try:
+            fn(slabs[0])
+        finally:
+            for f in futures:  # no slab may still be writing once this returns
+                f.exception()  # waits, and leaves the raising to result()
+        for f in futures:
+            f.result()
+
+
 class StepWorkspace:
     """The arrays IF-RK4 steps on one lattice reuse, all on the k_n >= 0 half.
 
@@ -129,22 +181,47 @@ class StepWorkspace:
     and four stage buffers (RHS output, b + c, stage input, accumulator).
     `lattice` supplies the RHS's and the cleanup's 2/3-rule mask.
 
+    `slabs` cuts the first wavenumber/grid axis into `pool.k` row slabs (the
+    first N mod k one row longer); `each` runs a pointwise kernel on all of
+    them, each slab written by one thread only.  The pool is lent by the
+    caller (`advance` keeps one for the whole run); the default runs one
+    slab, the whole array, on the calling thread.
+
     A workspace is built once and reused across steps by one caller at a
-    time, never shared between threads.  `advance` builds one per run and
+    time, never shared between callers.  `advance` builds one per run and
     drops it before each diagnostics record, whose own arrays would otherwise
     stack on top of it, and builds it again at the next step; a `step`
     called without one builds a fresh one.  A step's result never lives in
     the workspace, so it may be fed back as the next step's input.
     """
 
-    def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray):
-        n, half = lattice.n, lattice.N // 2 + 1
+    def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray,
+                 pool: SlabPool | None = None):
+        n, N, half = lattice.n, lattice.N, lattice.N // 2 + 1
         half_shape = lattice.shape[:-1] + (half,)
         self.lattice = lattice
         self.symbol = np.ascontiguousarray(symbol[..., :half])  # full or half width
         self.batch = np.empty((n + n * n,) + half_shape, dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
         self.stages = np.empty((4, n) + half_shape, dtype=np.complex128)
+        self.pool = SlabPool() if pool is None else pool
+        q, r = divmod(N, self.pool.k)
+        edges = [i * q + min(i, r) for i in range(self.pool.k + 1)]
+        self.slabs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def each(self, fn) -> None:
+        """fn(rows) for every row slab, on the pool's threads."""
+        self.pool.run(fn, self.slabs)
+
+
+def _clean(lattice: WavenumberLattice, coeffs: np.ndarray, out: np.ndarray,
+           rows: slice) -> None:
+    """Dealias `coeffs` into `out`, Leray-project it and zero its mean, all on
+    the first-axis `rows` that both arrays are cut to."""
+    dealias_coeffs(lattice, coeffs, out=out, rows=rows)
+    leray_project_coeffs(lattice, out, out=out, rows=rows)
+    if rows.start == 0:
+        out[(slice(None),) + (0,) * lattice.n] = 0.0
 
 
 def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
@@ -156,19 +233,31 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
     convective products are formed pointwise, and the result is transformed
     back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` may be
     the full spectrum or its half; the result is the half, (n, N, ..., N//2 + 1).
-    The transform batch and grid product go to `work`'s arrays, and the
-    cleanup runs in place on `out`; either one is fresh when None.  `coeffs`
-    is not written.
+    The batch assembly, the product and the cleanup run on `work`'s row
+    slabs, in its arrays, and the cleanup writes `out`; `work` and `out`
+    are fresh when None.  The two transforms take the whole batch.
+    `coeffs` is not written.
     """
     n = lattice.n
-    vel, deriv = velocity_gradient_grid(lattice, coeffs, lead=coeffs,
-                                        batch=None if work is None else work.batch)
-    conv = np.einsum("j...,ij...->i...", vel, deriv,  # deriv[i, j] = d_j u_i
-                     out=None if work is None else work.conv)
-    out = dealias_coeffs(lattice, grid_to_coeffs(conv, n), out=out)
-    leray_project_coeffs(lattice, out, out=out)
-    out[(slice(None),) + (0,) * n] = 0.0
-    return np.negative(out, out=out)
+    if work is None:
+        work = StepWorkspace(lattice, lattice.ksq_array)  # the symbol goes unused
+    if out is None:
+        out = np.empty_like(work.stages[0])
+    work.each(lambda rows: gradient_batch(lattice, coeffs, coeffs, work.batch, rows))
+    phys = coeffs_to_grid(work.batch, n)
+    vel, deriv = phys[:n], phys[n:].reshape((n, n) + lattice.shape)  # deriv[i, j] = d_j u_i
+    work.each(lambda rows: np.einsum("j...,ij...->i...", vel[:, rows], deriv[:, :, rows],
+                                     out=work.conv[:, rows]))
+    del phys, vel, deriv  # the grid batch is freed before the forward transform
+    conv_hat = grid_to_coeffs(work.conv, n)
+
+    def cleanup(rows):
+        out_s = out[:, rows]
+        _clean(lattice, conv_hat[:, rows], out_s, rows)
+        np.negative(out_s, out=out_s)
+
+    work.each(cleanup)
+    return out
 
 
 def compute_pressure(u: SpectralVectorField) -> np.ndarray:
@@ -186,60 +275,85 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
-                stages: np.ndarray | None = None) -> np.ndarray:
+                stages: np.ndarray | None = None, each=None) -> np.ndarray:
     """One integrating-factor RK4 step on raw coefficients.
 
     `symbol` is the dissipative symbol nu |k|^(2*alpha); `rhs(c, out)` writes
     the nonlinear tendency at c into out and leaves c unchanged.  The stages
     run in place in the four arrays of `stages`, each shaped like coeffs
     (fresh ones when None), with the operation order of
-    e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d).  `coeffs` is not
-    written and the result is a new array.  Exact when rhs == 0.
+    e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d).  Between the RHS
+    calls, `each(kernel)` runs the stage arithmetic on row slabs
+    (`StepWorkspace.each`); by default one slab, the whole array.  `coeffs`
+    is not written and the result is a new array.  Exact when rhs == 0.
     """
     if stages is None:
         stages = np.empty((4,) + coeffs.shape, dtype=np.complex128)
+    if each is None:
+        each = lambda kernel: kernel(slice(None))
     r, bc, u, acc = stages
     h = 0.5 * dt
+    e_half, e_full = np.empty((2,) + symbol.shape)
+    new = np.empty(coeffs.shape, dtype=np.complex128)
+
+    # each kernel works on the row slab s of every array, through views made once
+    def b_input(s):  # e_half (coeffs + h a), and e_full a into the accumulator
+        c_s, a_s, u_s, acc_s = coeffs[:, s], r[:, s], u[:, s], acc[:, s]
+        eh, ef = e_half[s], e_full[s]
+        np.exp(-0.5 * dt * symbol[s], out=eh)
+        np.multiply(eh, eh, out=ef)
+        np.multiply(h, a_s, out=u_s)
+        np.add(c_s, u_s, out=u_s)
+        np.multiply(eh, u_s, out=u_s)
+        np.multiply(ef, a_s, out=acc_s)
+
+    def c_input(s):  # e_half coeffs + h b
+        b_s, hb_s, u_s = bc[:, s], r[:, s], u[:, s]
+        np.multiply(h, b_s, out=hb_s)
+        np.multiply(e_half[s], coeffs[:, s], out=u_s)
+        np.add(u_s, hb_s, out=u_s)
+
+    def d_input(s):  # e_full coeffs + dt e_half c, and b + c
+        bc_s, c_s, u_s = bc[:, s], r[:, s], u[:, s]
+        np.add(bc_s, c_s, out=bc_s)
+        np.multiply(dt * e_half[s], c_s, out=c_s)
+        np.multiply(e_full[s], coeffs[:, s], out=u_s)
+        np.add(u_s, c_s, out=u_s)
+
+    def combine(s):
+        bc_s, d_s, acc_s, new_s = bc[:, s], r[:, s], acc[:, s], new[:, s]
+        np.multiply(2.0 * e_half[s], bc_s, out=bc_s)
+        np.add(acc_s, bc_s, out=acc_s)
+        np.add(acc_s, d_s, out=acc_s)
+        np.multiply(dt / 6.0, acc_s, out=acc_s)
+        np.multiply(e_full[s], coeffs[:, s], out=new_s)
+        np.add(new_s, acc_s, out=new_s)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        e_half = np.exp(-0.5 * dt * symbol)
-        e_full = e_half * e_half
         rhs(coeffs, r)  # a
-        np.multiply(h, r, out=u)
-        np.add(coeffs, u, out=u)
-        np.multiply(e_half, u, out=u)  # e_half (coeffs + h a)
-        np.multiply(e_full, r, out=acc)
+        each(b_input)
         rhs(u, bc)  # b
-        np.multiply(h, bc, out=r)
-        np.multiply(e_half, coeffs, out=u)
-        np.add(u, r, out=u)  # e_half coeffs + h b
+        each(c_input)
         rhs(u, r)  # c
-        np.add(bc, r, out=bc)
-        np.multiply(dt * e_half, r, out=r)
-        np.multiply(e_full, coeffs, out=u)
-        np.add(u, r, out=u)  # e_full coeffs + dt e_half c
+        each(d_input)
         rhs(u, r)  # d
-        np.multiply(2.0 * e_half, bc, out=bc)
-        np.add(acc, bc, out=acc)
-        np.add(acc, r, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
-        new = np.multiply(e_full, coeffs)
-        return np.add(new, acc, out=new)
+        each(combine)
+    return new
 
 
 def _step_half(coeffs: np.ndarray, dt: float, work: StepWorkspace) -> np.ndarray:
     """IF-RK4 step plus cleanup on k_n >= 0 half-spectrum arrays.
 
     The RHS and the cleanup apply the 2/3-rule mask of `work.lattice`;
-    verify's faults are inputs it builds into the workspace itself.  The
-    result is a new array, outside the workspace.
+    verify's faults are inputs it builds into the workspace itself.  All
+    pointwise work runs on the workspace's row slabs.  The result is a new
+    array, outside the workspace.
     """
     lattice = work.lattice
     rhs = lambda c, out: nonlinear_rhs(lattice, c, work, out)
-    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages)
+    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages, work.each)
     # divergence cleanup: cheap, stops projection drift from accumulating
-    dealias_coeffs(lattice, new, out=new)
-    leray_project_coeffs(lattice, new, out=new)
-    new[(slice(None),) + (0,) * lattice.n] = 0.0
+    work.each(lambda rows: _clean(lattice, new[:, rows], new[:, rows], rows))
     return new
 
 
@@ -247,9 +361,9 @@ def step(state: SolverState, dt: float, cfg: SolverConfig,
          work: StepWorkspace | None = None) -> SolverState:
     """Advance one RK4 step of size dt; raises Diverged on non-finite output.
 
-    `work` defaults to a fresh workspace on the state's lattice with the
-    dissipation symbol of cfg.  The step runs on the k_n >= 0 half and
-    completes the result once.
+    `work` defaults to a fresh one-slab workspace on the state's lattice
+    with the dissipation symbol of cfg.  The step runs on the k_n >= 0 half
+    and completes the result once.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -280,7 +394,9 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
 
     Records are emitted at the initial state, every cfg.diag_stride steps and
     at t_end.  A divergence emits a final record flagged `diverged` and stops
-    cleanly instead of raising.
+    cleanly instead of raising.  The steps run in as many row slabs as
+    `scipy.fft` has workers when the call starts, on a `SlabPool` that is
+    shut down before the call returns or raises.
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
@@ -294,26 +410,27 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
             work = None  # a record's arrays would stack on the workspace's
             sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last))
 
-    emit(state, 0.0)
-    eps = 1e-14 * max(1.0, cfg.t_end)
-    while state.t < cfg.t_end - eps:
-        dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
-        if work is None:
-            work = StepWorkspace(lat, symbol)
-        try:
-            state = step(state, dt, cfg, work)
-        except Diverged:
-            state = SolverState(
-                u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),
-                step_count=state.step_count + 1,
-            )
-            emit(state, dt)
-            return state
-        final = abs(state.t - cfg.t_end) <= eps
-        if final:
-            # snap the time label; the step sizes already sum to t_end
-            state = SolverState(u=state.u.with_coeffs(state.u.coeffs, time=cfg.t_end),
-                                step_count=state.step_count)
-        if final or state.step_count % cfg.diag_stride == 0:
-            emit(state, dt)
+    with SlabPool(scipy.fft.get_workers()) as pool:
+        emit(state, 0.0)
+        eps = 1e-14 * max(1.0, cfg.t_end)
+        while state.t < cfg.t_end - eps:
+            dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
+            if work is None:
+                work = StepWorkspace(lat, symbol, pool)
+            try:
+                state = step(state, dt, cfg, work)
+            except Diverged:
+                state = SolverState(
+                    u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),
+                    step_count=state.step_count + 1,
+                )
+                emit(state, dt)
+                return state
+            final = abs(state.t - cfg.t_end) <= eps
+            if final:
+                # snap the time label; the step sizes already sum to t_end
+                state = SolverState(u=state.u.with_coeffs(state.u.coeffs, time=cfg.t_end),
+                                    step_count=state.step_count)
+            if final or state.step_count % cfg.diag_stride == 0:
+                emit(state, dt)
     return state

@@ -32,8 +32,9 @@ two pocketfft workers measured slower than one.  `sweep` runs
 min(alphas, budget) alphas at once and gives each run budget // that many
 FFT workers, so alpha threads x FFT workers never exceeds the budget.
 Everything else, the verify suite included, keeps scipy's default of one
-worker.  Threaded transforms are bit-identical to serial ones, so no output
-depends on the thread count.
+worker.  `advance` splits the step arithmetic into as many row slabs, on as
+many threads, as there are FFT workers.  Threaded transforms and slabs are
+bit-identical to serial ones, so no output depends on the thread count.
 """
 
 from __future__ import annotations

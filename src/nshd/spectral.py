@@ -213,15 +213,22 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
-                           lead: np.ndarray | None = None,
-                           batch: np.ndarray | None = None):
-    """Grid values of `lead` and of grad u, from one inverse transform.
+def _lattice_rows(a: np.ndarray, rows: slice, width: int) -> np.ndarray:
+    """A lattice array, dense or a sparse mode grid, cut to the first-axis
+    `rows` and the first `width` entries of the last axis; an axis of
+    length 1 broadcasts and is kept whole."""
+    return a[(rows if a.shape[0] > 1 else slice(None), ..., slice(width))]
 
-    Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`.  The batch of
-    m + n^2 components (m = len(lead), 0 when lead is None) is built on the
-    k_n >= 0 half spectrum only, which is all `coeffs_to_grid` reads; it is
-    built in `batch` when given, a complex array of that shape.
+
+def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
+                   lead: np.ndarray | None = None, batch: np.ndarray | None = None,
+                   rows: slice = slice(None)) -> np.ndarray:
+    """The m + n^2 components (`lead`, then i k_j c_i at m + n i + j) on the
+    k_n >= 0 half spectrum, m = len(lead) or 0 when lead is None.
+
+    They are built in `batch` when given, a complex array of that shape.
+    Only its first-axis `rows` are written, from the same rows of `coeffs`
+    and `lead`, so disjoint rows may be filled by different threads.
     """
     n = lattice.n
     half = lattice.N // 2 + 1
@@ -229,13 +236,26 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
     if batch is None:
         batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
     if m:
-        batch[:m] = lead[..., :half]
-    ik = [1j * g[..., :half] for g in lattice.mode_grids]
+        batch[:m, rows] = lead[:, rows, ..., :half]
+    ik = [1j * _lattice_rows(g, rows, half) for g in lattice.mode_grids]
     for i in range(n):
-        c = coeffs[i, ..., :half]
+        c = coeffs[i, rows, ..., :half]
         for j in range(n):
-            np.multiply(ik[j], c, out=batch[m + n * i + j])
-    phys = coeffs_to_grid(batch, n)
+            np.multiply(ik[j], c, out=batch[m + n * i + j, rows])
+    return batch
+
+
+def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
+                           lead: np.ndarray | None = None):
+    """Grid values of `lead` and of grad u, from one inverse transform.
+
+    Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`, from the
+    `gradient_batch` of m + n^2 components (m = len(lead), 0 when lead is
+    None), which holds only the k_n >= 0 half that `coeffs_to_grid` reads.
+    """
+    n = lattice.n
+    m = 0 if lead is None else len(lead)
+    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n)
     return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
 
 
@@ -243,12 +263,14 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
 
 
 def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None,
+                         rows: slice = slice(None)) -> np.ndarray:
     """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
 
     The result goes to `out` when given, which may be `coeffs` itself.
 
-    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1).
+    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1), or
+    the first-axis `rows` of either, which the lattice's arrays are cut to.
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
     field it breaks the symmetry on the Nyquist planes (k_j = -N/2): a mode
     and its partner -k (mod N) share the label -N/2 on that axis, so their
@@ -258,9 +280,9 @@ def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
     `full_spectrum` there and only there.
     """
     width = coeffs.shape[-1]
-    grids = [g[..., :width] for g in lattice.mode_grids]
+    grids = [_lattice_rows(g, rows, width) for g in lattice.mode_grids]
     div = sum(grids[j] * coeffs[j] for j in range(lattice.n))
-    div_over_ksq = div * lattice.inv_ksq_array[..., :width]
+    div_over_ksq = div * _lattice_rows(lattice.inv_ksq_array, rows, width)
     if out is None:
         out = coeffs.copy()
     elif out is not coeffs:
@@ -281,13 +303,14 @@ def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half.
+                   out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
+    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half, or
+    of the first-axis `rows` of either.
 
     The result goes to `out` when given, which may be `coeffs` itself.
     """
-    return np.multiply(coeffs, lattice.dealias_mask_array[..., : coeffs.shape[-1]],
-                       out=out)
+    mask = _lattice_rows(lattice.dealias_mask_array, rows, coeffs.shape[-1])
+    return np.multiply(coeffs, mask, out=out)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
