@@ -23,10 +23,11 @@ product and the RHS cleanup, the IF-RK4 stage updates and the step's
 divergence cleanup.  Each slab is written by one thread only, and every
 element goes through the same operations in the same order whatever k is,
 so outputs are byte-identical for every k.  k is the `scipy.fft` worker
-count in force when `advance` starts (`harness` sets it); `advance` owns a
-`SlabPool` of k - 1 threads for that one run and the calling thread runs
-slab 0.  The transforms, the finiteness check, `cfl_dt`, `full_spectrum`
-and the diagnostics records stay whole on the calling thread.
+count in force when `advance` starts (`harness` sets it), at most N;
+`advance` owns a `SlabPool` of k - 1 threads for that one run and the
+calling thread runs slab 0.  The `spectral` operators see a slab as a
+lattice and never a row.  The transforms, the finiteness check, `cfl_dt`,
+`full_spectrum` and the diagnostics records stay whole on the calling thread.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -156,14 +158,14 @@ class SlabPool:
             self._pool.shutdown()
 
     def run(self, fn, slabs) -> None:
-        """fn(rows) for each slab, slab 0 on the calling thread.
+        """fn(slab) for each slab, slab 0 on the calling thread.
 
         Returns once every slab is done and re-raises the first error.  Each
         pool task runs in a copy of the caller's context, so a slab sees the
         caller's `np.errstate`.
         """
-        futures = [self._pool.submit(contextvars.copy_context().run, fn, rows)
-                   for rows in slabs[1:]]
+        futures = [self._pool.submit(contextvars.copy_context().run, fn, slab)
+                   for slab in slabs[1:]]
         try:
             fn(slabs[0])
         finally:
@@ -179,13 +181,14 @@ class StepWorkspace:
     It holds the half-width dissipation symbol, the (n + n^2)-component batch
     that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
     and four stage buffers (RHS output, b + c, stage input, accumulator).
-    `lattice` supplies the RHS's and the cleanup's 2/3-rule mask.
 
-    `slabs` cuts the first wavenumber/grid axis into `pool.k` row slabs (the
-    first N mod k one row longer); `each` runs a pointwise kernel on all of
-    them, each slab written by one thread only.  The pool is lent by the
-    caller (`advance` keeps one for the whole run); the default runs one
-    slab, the whole array, on the calling thread.
+    `slabs` cuts the first wavenumber/grid axis into k = min(pool.k, N) row
+    slabs (the first N mod k one row longer), once.  A slab holds its `rows`
+    and the `lattice` arrays the spectral operators read, cut to those rows
+    and the k_n >= 0 half, and stands in for the lattice in their calls.
+    `each` runs a pointwise kernel on every slab, each written by one thread.
+    The pool is lent by the caller (`advance` keeps one per run); the default
+    runs one slab, the whole array, on the calling thread.
 
     A workspace is built once and reused across steps by one caller at a
     time, never shared between callers.  `advance` builds one per run and
@@ -205,23 +208,28 @@ class StepWorkspace:
         self.conv = np.empty((n,) + lattice.shape)
         self.stages = np.empty((4, n) + half_shape, dtype=np.complex128)
         self.pool = SlabPool() if pool is None else pool
-        q, r = divmod(N, self.pool.k)
-        edges = [i * q + min(i, r) for i in range(self.pool.k + 1)]
-        self.slabs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        k = min(self.pool.k, N)  # no empty slab, no idle thread
+        q, r = divmod(N, k)
+        edges = [i * q + min(i, r) for i in range(k + 1)]
+        # a sparse mode grid keeps its broadcast (length 1) first axis whole
+        cut = lambda a, rows: a[(rows if a.shape[0] > 1 else slice(None), ..., slice(half))]
+        self.slabs = [SimpleNamespace(rows=rows, n=n, N=N,
+                                      mode_grids=tuple(cut(g, rows) for g in lattice.mode_grids),
+                                      inv_ksq_array=cut(lattice.inv_ksq_array, rows),
+                                      dealias_mask_array=cut(lattice.dealias_mask_array, rows))
+                      for rows in map(slice, edges, edges[1:])]
 
     def each(self, fn) -> None:
-        """fn(rows) for every row slab, on the pool's threads."""
+        """fn(slab) for every row slab, on the pool's threads."""
         self.pool.run(fn, self.slabs)
 
 
-def _clean(lattice: WavenumberLattice, coeffs: np.ndarray, out: np.ndarray,
-           rows: slice) -> None:
-    """Dealias `coeffs` into `out`, Leray-project it and zero its mean, all on
-    the first-axis `rows` that both arrays are cut to."""
-    dealias_coeffs(lattice, coeffs, out=out, rows=rows)
-    leray_project_coeffs(lattice, out, out=out, rows=rows)
-    if rows.start == 0:
-        out[(slice(None),) + (0,) * lattice.n] = 0.0
+def _clean(slab, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """Dealias `coeffs` into `out`, Leray-project it and zero its mean; all three are one slab's."""
+    dealias_coeffs(slab, coeffs, out=out)
+    leray_project_coeffs(slab, out, out=out)
+    if slab.rows.start == 0:
+        out[(slice(None),) + (0,) * slab.n] = 0.0
 
 
 def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
@@ -235,25 +243,27 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
     the full spectrum or its half; the result is the half, (n, N, ..., N//2 + 1).
     The batch assembly, the product and the cleanup run on `work`'s row
     slabs, in its arrays, and the cleanup writes `out`; `work` and `out`
-    are fresh when None.  The two transforms take the whole batch.
-    `coeffs` is not written.
+    are fresh when None.  The mask and projection are `work.lattice`'s;
+    `lattice` only builds a fresh `work`.  The two transforms take the whole
+    batch.  `coeffs` is not written.
     """
-    n = lattice.n
     if work is None:
         work = StepWorkspace(lattice, lattice.ksq_array)  # the symbol goes unused
+    n, shape = work.lattice.n, work.lattice.shape
     if out is None:
         out = np.empty_like(work.stages[0])
-    work.each(lambda rows: gradient_batch(lattice, coeffs, coeffs, work.batch, rows))
+    work.each(lambda s: gradient_batch(s, coeffs[:, s.rows], coeffs[:, s.rows],
+                                       work.batch[:, s.rows]))
     phys = coeffs_to_grid(work.batch, n)
-    vel, deriv = phys[:n], phys[n:].reshape((n, n) + lattice.shape)  # deriv[i, j] = d_j u_i
-    work.each(lambda rows: np.einsum("j...,ij...->i...", vel[:, rows], deriv[:, :, rows],
-                                     out=work.conv[:, rows]))
+    vel, deriv = phys[:n], phys[n:].reshape((n, n) + shape)  # deriv[i, j] = d_j u_i
+    work.each(lambda s: np.einsum("j...,ij...->i...", vel[:, s.rows], deriv[:, :, s.rows],
+                                  out=work.conv[:, s.rows]))
     del phys, vel, deriv  # the grid batch is freed before the forward transform
     conv_hat = grid_to_coeffs(work.conv, n)
 
-    def cleanup(rows):
-        out_s = out[:, rows]
-        _clean(lattice, conv_hat[:, rows], out_s, rows)
+    def cleanup(s):
+        out_s = out[:, s.rows]
+        _clean(s, conv_hat[:, s.rows], out_s)
         np.negative(out_s, out=out_s)
 
     work.each(cleanup)
@@ -283,8 +293,8 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
     run in place in the four arrays of `stages`, each shaped like coeffs
     (fresh ones when None), with the operation order of
     e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d).  Between the RHS
-    calls, `each(kernel)` runs the stage arithmetic on row slabs
-    (`StepWorkspace.each`); by default one slab, the whole array.  `coeffs`
+    calls, `each(kernel)` runs the stage arithmetic as kernel(rows) on
+    first-axis row slabs; by default one slab, the whole array.  `coeffs`
     is not written and the result is a new array.  Exact when rhs == 0.
     """
     if stages is None:
@@ -349,11 +359,11 @@ def _step_half(coeffs: np.ndarray, dt: float, work: StepWorkspace) -> np.ndarray
     pointwise work runs on the workspace's row slabs.  The result is a new
     array, outside the workspace.
     """
-    lattice = work.lattice
-    rhs = lambda c, out: nonlinear_rhs(lattice, c, work, out)
-    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages, work.each)
+    rhs = lambda c, out: nonlinear_rhs(work.lattice, c, work, out)
+    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages,
+                      lambda kernel: work.each(lambda s: kernel(s.rows)))
     # divergence cleanup: cheap, stops projection drift from accumulating
-    work.each(lambda rows: _clean(lattice, new[:, rows], new[:, rows], rows))
+    work.each(lambda s: _clean(s, new[:, s.rows], new[:, s.rows]))
     return new
 
 

@@ -313,18 +313,25 @@ def _read_row_metrics(record: RunRecord, config: RunConfig) -> SweepRow:
     )
 
 
+def _sweep_cell(value) -> str:
+    """A sweep_summary.csv cell: None empty, bools lower-case, strings as they
+    are, floats by repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
 def _write_sweep_files(summary: SweepSummary, out_dir) -> None:
+    """sweep_summary.csv, one column per SweepRow field (max_m1 headed max_M1),
+    and sweep_summary.json."""
+    names = [f.name for f in dataclasses.fields(SweepRow)]
     csv_path = os.path.join(out_dir, "sweep_summary.csv")
     with atomic_open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,status,max_enstrophy,max_M1,resolution_loss_time,"
-                 "energy_ratio,is_lions_exponent\n")
+        fh.write(",".join("max_M1" if name == "max_m1" else name for name in names) + "\n")
         for row in summary.rows:
-            loss = "" if row.resolution_loss_time is None else repr(row.resolution_loss_time)
-            fh.write(
-                f"{row.alpha!r},{row.status},{row.max_enstrophy!r},"
-                f"{row.max_m1!r},{loss},{row.energy_ratio!r},"
-                f"{str(row.is_lions_exponent).lower()}\n"
-            )
+            fh.write(",".join(_sweep_cell(getattr(row, name)) for name in names) + "\n")
     with atomic_open(os.path.join(out_dir, "sweep_summary.json"), "w",
                      encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(summary), fh, indent=2)

@@ -23,7 +23,6 @@ from .spectral import (
     leray_project_coeffs,
 )
 
-RNG_ALGORITHM = "philox4x64-10/v1"
 SLOPE_DECADES = 100  # the band's largest |k|^spectrum_slope lies within 1e+-100
 
 

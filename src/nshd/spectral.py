@@ -110,10 +110,6 @@ class WavenumberLattice:
         return (self.N,) * self.n
 
     @property
-    def total_modes(self) -> int:
-        return self.N**self.n
-
-    @property
     def dx(self) -> float:
         return TWO_PI / self.N
 
@@ -213,22 +209,13 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _lattice_rows(a: np.ndarray, rows: slice, width: int) -> np.ndarray:
-    """A lattice array, dense or a sparse mode grid, cut to the first-axis
-    `rows` and the first `width` entries of the last axis; an axis of
-    length 1 broadcasts and is kept whole."""
-    return a[(rows if a.shape[0] > 1 else slice(None), ..., slice(width))]
-
-
 def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
-                   lead: np.ndarray | None = None, batch: np.ndarray | None = None,
-                   rows: slice = slice(None)) -> np.ndarray:
+                   lead: np.ndarray | None = None,
+                   batch: np.ndarray | None = None) -> np.ndarray:
     """The m + n^2 components (`lead`, then i k_j c_i at m + n i + j) on the
     k_n >= 0 half spectrum, m = len(lead) or 0 when lead is None.
 
     They are built in `batch` when given, a complex array of that shape.
-    Only its first-axis `rows` are written, from the same rows of `coeffs`
-    and `lead`, so disjoint rows may be filled by different threads.
     """
     n = lattice.n
     half = lattice.N // 2 + 1
@@ -236,12 +223,12 @@ def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
     if batch is None:
         batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
     if m:
-        batch[:m, rows] = lead[:, rows, ..., :half]
-    ik = [1j * _lattice_rows(g, rows, half) for g in lattice.mode_grids]
+        batch[:m] = lead[..., :half]
+    ik = [1j * g[..., :half] for g in lattice.mode_grids]
     for i in range(n):
-        c = coeffs[i, rows, ..., :half]
+        c = coeffs[i, ..., :half]
         for j in range(n):
-            np.multiply(ik[j], c, out=batch[m + n * i + j, rows])
+            np.multiply(ik[j], c, out=batch[m + n * i + j])
     return batch
 
 
@@ -263,14 +250,12 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
 
 
 def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
-                         out: np.ndarray | None = None,
-                         rows: slice = slice(None)) -> np.ndarray:
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
 
     The result goes to `out` when given, which may be `coeffs` itself.
 
-    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1), or
-    the first-axis `rows` of either, which the lattice's arrays are cut to.
+    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1).
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
     field it breaks the symmetry on the Nyquist planes (k_j = -N/2): a mode
     and its partner -k (mod N) share the label -N/2 on that axis, so their
@@ -280,9 +265,9 @@ def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
     `full_spectrum` there and only there.
     """
     width = coeffs.shape[-1]
-    grids = [_lattice_rows(g, rows, width) for g in lattice.mode_grids]
+    grids = [g[..., :width] for g in lattice.mode_grids]
     div = sum(grids[j] * coeffs[j] for j in range(lattice.n))
-    div_over_ksq = div * _lattice_rows(lattice.inv_ksq_array, rows, width)
+    div_over_ksq = div * lattice.inv_ksq_array[..., :width]
     if out is None:
         out = coeffs.copy()
     elif out is not coeffs:
@@ -303,14 +288,13 @@ def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
-                   out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
-    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half, or
-    of the first-axis `rows` of either.
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half.
 
     The result goes to `out` when given, which may be `coeffs` itself.
     """
-    mask = _lattice_rows(lattice.dealias_mask_array, rows, coeffs.shape[-1])
-    return np.multiply(coeffs, mask, out=out)
+    return np.multiply(coeffs, lattice.dealias_mask_array[..., : coeffs.shape[-1]],
+                       out=out)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:

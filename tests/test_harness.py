@@ -268,6 +268,23 @@ def same_float(a, b):
     return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
 
 
+def parse_sweep_csv(path):
+    """Each line of a sweep_summary.csv as {SweepRow field: value}, typed back
+    from its cell: empty is None, true/false a bool, else a float or the string."""
+    def value(cell):
+        if cell in ("", "true", "false"):
+            return None if cell == "" else cell == "true"
+        try:
+            return float(cell)
+        except ValueError:
+            return cell
+
+    header, *lines = Path(path).read_text().splitlines()
+    names = [{"max_M1": "max_m1"}.get(name, name) for name in header.split(",")]
+    assert names == [f.name for f in dataclasses.fields(SweepRow)]
+    return [dict(zip(names, map(value, line.split(",")))) for line in lines]
+
+
 SWEEP_CASES = {
     "completed": ({"kind": "random_band", "seed": 3, "band": [1, 4]}, 0.05,
                   "completed", 0),
@@ -285,6 +302,12 @@ def test_sweep_rows_match_csv_parse(tmp_path, case):
                        **{"solver.t_end": t_end, "solver.moment_orders": [0, 2]})
     summary = sweep(load_config(path), [0.9, 1.0], tmp_path / "sw")
     assert summary.exit_code == exit_code
+    parsed = parse_sweep_csv(tmp_path / "sw" / "sweep_summary.csv")
+    assert len(parsed) == len(summary.rows)
+    for row, cells in zip(summary.rows, parsed):
+        for name, cell in cells.items():
+            want = getattr(row, name)
+            assert type(cell) is type(want) and same_float(cell, want), (row.alpha, name)
     for row in summary.rows:
         assert row.status == status
         sub = tmp_path / "sw" / f"alpha_{row.alpha:g}"

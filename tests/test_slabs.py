@@ -23,7 +23,13 @@ from nshd.dynamics import (
     nonlinear_rhs,
     step,
 )
-from nshd.spectral import half_spectrum
+from nshd.spectral import (
+    build_lattice,
+    dealias_coeffs,
+    gradient_batch,
+    half_spectrum,
+    leray_project_coeffs,
+)
 from nshd.verify import FaultInjection, _faulty_inputs
 
 from conftest import make_random_field
@@ -73,8 +79,44 @@ def test_slabs_cover_the_first_axis_longest_first():
     lat = make_random_field(n=3, N=16).lattice
     with SlabPool(3) as pool:
         work = StepWorkspace(lat, dissipation_symbol(lat, 1.0, 1.0), pool)
-    assert [(s.start, s.stop) for s in work.slabs] == [(0, 6), (6, 11), (11, 16)]
-    assert [(s.start, s.stop) for s in StepWorkspace(lat, lat.ksq_array).slabs] == [(0, 16)]
+    assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(0, 6), (6, 11), (11, 16)]
+    one = StepWorkspace(lat, lat.ksq_array).slabs
+    assert [(s.rows.start, s.rows.stop) for s in one] == [(0, 16)]
+
+
+def test_never_more_slabs_than_rows():
+    # ten threads offered to an 8-row lattice: 8 one-row slabs, 7 pool threads at most
+    u = make_random_field(n=3, N=8, seed=52, band=(1, 2))
+    lat = u.lattice
+    cfg = SolverConfig(n=3, N=8, alpha=1.25, nu=0.1, t_end=5 * DT, dt_max=DT,
+                       diag_stride=2)
+    before = threading.active_count()
+    with SlabPool(10) as pool:
+        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
+        assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(i, i + 1)
+                                                                     for i in range(8)]
+        step(SolverState(u=u), DT, cfg, work)
+        assert threading.active_count() - before <= 7
+    assert slab_outputs(u, cfg, 10) == slab_outputs(u, cfg, 1)
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_spectral_operators_on_a_slab_equal_those_rows_of_the_lattice(n, N):
+    # 3 uneven slabs (11/11/10 and 6/5/5 rows) of half-width coefficients
+    lat = build_lattice(n, N)
+    shape = (n,) + lat.shape[:-1] + (N // 2 + 1,)
+    rng = np.random.default_rng(53)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    with SlabPool(3) as pool:
+        slabs = StepWorkspace(lat, lat.ksq_array, pool).slabs
+    whole = [gradient_batch(lat, c, c), leray_project_coeffs(lat, c), dealias_coeffs(lat, c)]
+    for s in slabs:
+        part = c[:, s.rows]
+        batch = np.empty_like(whole[0][:, s.rows])
+        got = [gradient_batch(s, part, part, batch), leray_project_coeffs(s, part),
+               dealias_coeffs(s, part)]
+        for g, w in zip(got, whole):
+            assert g.tobytes() == w[:, s.rows].tobytes()
 
 
 @pytest.mark.parametrize("faults", [FaultInjection(dealias_off=True),
@@ -95,6 +137,18 @@ def test_verify_faults_flow_through_the_slab_kernel(faults):
     faulty = stepped(1, faults)
     assert stepped(2, faults) == faulty
     assert stepped(2, FaultInjection()) != faulty
+
+
+def test_the_rhs_reads_its_mask_from_the_workspace_alone():
+    # a workspace on verify's dealias_off lattice gives the unmasked RHS
+    # whichever lattice the call names
+    u = make_random_field(n=3, N=16, seed=49, band=(1, 5), amplitude=3.0)
+    sound, coeffs = u.lattice, half_spectrum(u.coeffs)
+    off, symbol = _faulty_inputs(sound, 1.0, 0.5, FaultInjection(dealias_off=True))
+    work = StepWorkspace(off, symbol)
+    unmasked = nonlinear_rhs(off, coeffs, work).tobytes()
+    assert nonlinear_rhs(sound, coeffs, work).tobytes() == unmasked
+    assert nonlinear_rhs(sound, coeffs).tobytes() != unmasked
 
 
 def small_run(amplitude=1.0):
@@ -133,10 +187,10 @@ def test_no_thread_outlives_a_run():
 def test_an_error_on_a_pool_thread_reaches_the_caller_of_step(monkeypatch):
     clean = dynamics._clean
 
-    def fails_off_slab_0(lattice, coeffs, out, rows):
-        if rows.start != 0:
-            raise FloatingPointError(f"slab at row {rows.start}")
-        clean(lattice, coeffs, out, rows)
+    def fails_off_slab_0(slab, coeffs, out):
+        if slab.rows.start != 0:
+            raise FloatingPointError(f"slab at row {slab.rows.start}")
+        clean(slab, coeffs, out)
 
     monkeypatch.setattr(dynamics, "_clean", fails_off_slab_0)
     state, cfg = small_run()

@@ -32,7 +32,6 @@ from conftest import grid_coords, make_random_field, zero_field
 
 def test_lattice_basic_2d():
     lat = build_lattice(2, 8)
-    assert lat.total_modes == 64
     assert tuple(lat.modes_1d[[1, 1]]) == (1, 1)
     assert lat.kmod_array[1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -48,7 +47,6 @@ def test_dealias_mask_two_thirds_rule():
     assert lat.dealias_mask_array[2, 0]  # 2 < 8/3
 
     lat3 = build_lattice(3, 16)
-    assert lat3.total_modes == 4096
     assert tuple(lat3.modes_1d[[5, 0, 0]]) == (5, 0, 0)
     assert lat3.dealias_mask_array[5, 0, 0]  # 5 < 16/3
 
