@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -107,23 +108,29 @@ def _parse_rational(text: str):
 
 
 def _cmd_exponents(args) -> int:
+    # every line is formatted before any is printed: the float display of an
+    # exact value past float range raises OverflowError
     try:
         a_lions = lions_exponent(args.n)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        lines = [f"n = {args.n}", f"alpha_L = {a_lions} (= {float(a_lions):g})"]
+    except (ValueError, OverflowError) as exc:
+        reason = "alpha_L is past float range" if isinstance(exc, OverflowError) else exc
+        print(f"invalid --n {reprlib.repr(args.n)}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"n = {args.n}")
-    print(f"alpha_L = {a_lions} (= {float(a_lions):g})")
     if args.alpha is not None:
         try:
             alpha = _parse_rational(args.alpha)
-        except (ValueError, ZeroDivisionError):
-            print(f"invalid --alpha {args.alpha!r}", file=sys.stderr)
+            margin, label = solvability_margin(args.n, alpha)
+            lines += [f"alpha = {alpha}", f"margin = {margin} (= {float(margin):g})",
+                      f"classification = {label}"]
+        except OverflowError:
+            print(f"invalid --alpha {reprlib.repr(args.alpha)}: the margin is past "
+                  f"float range", file=sys.stderr)
             return EXIT_CONFIG
-        margin, label = solvability_margin(args.n, alpha)
-        print(f"alpha = {alpha}")
-        print(f"margin = {margin} (= {float(margin):g})")
-        print(f"classification = {label}")
+        except (ValueError, ZeroDivisionError):
+            print(f"invalid --alpha {reprlib.repr(args.alpha)}", file=sys.stderr)
+            return EXIT_CONFIG
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -181,6 +181,8 @@ class StepWorkspace:
     It holds the half-width dissipation symbol, the (n + n^2)-component batch
     that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
     and four stage buffers (RHS output, b + c, stage input, accumulator).
+    The batch is scratch: each RHS call builds it afresh and its inverse
+    transform consumes it, so it holds nothing between calls.
 
     `slabs` cuts the first wavenumber/grid axis into k = min(pool.k, N) row
     slabs (the first N mod k one row longer), once.  A slab holds its `rows`
@@ -245,7 +247,8 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
     slabs, in its arrays, and the cleanup writes `out`; `work` and `out`
     are fresh when None.  The mask and projection are `work.lattice`'s;
     `lattice` only builds a fresh `work`.  The two transforms take the whole
-    batch.  `coeffs` is not written.
+    batch, and the inverse one runs in `work.batch`, consuming it.  `coeffs`
+    is not written.
     """
     if work is None:
         work = StepWorkspace(lattice, lattice.ksq_array)  # the symbol goes unused
@@ -254,7 +257,7 @@ def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
         out = np.empty_like(work.stages[0])
     work.each(lambda s: gradient_batch(s, coeffs[:, s.rows], coeffs[:, s.rows],
                                        work.batch[:, s.rows]))
-    phys = coeffs_to_grid(work.batch, n)
+    phys = coeffs_to_grid(work.batch, n, overwrite=True)
     vel, deriv = phys[:n], phys[n:].reshape((n, n) + shape)  # deriv[i, j] = d_j u_i
     work.each(lambda s: np.einsum("j...,ij...->i...", vel[:, s.rows], deriv[:, :, s.rows],
                                   out=work.conv[:, s.rows]))

@@ -12,9 +12,11 @@ The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
 
 Fields are treated as immutable values and every operation returns a fresh
-field, so values can be shared freely between threads.  The exception is an
-array-level operation given an `out=` (or `batch=`) array: it writes its
-result there instead, and that array belongs to the caller alone.
+field, so values can be shared freely between threads.  There are two
+exceptions.  An array-level operation given an `out=` (or `batch=`) array
+writes its result there instead, and that array belongs to the caller alone.
+`coeffs_to_grid(..., overwrite=True)` consumes its input as scratch, so only
+a caller that owns that array and reads it no more may pass it.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def grid_to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     return _fft.rfftn(values, axes=axes, norm="forward")
 
 
-def coeffs_to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
+def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False) -> np.ndarray:
     """Inverse transform to real grid samples over the trailing n axes.
 
     A complex-to-real transform: the coefficients must be Hermitian,
@@ -175,11 +177,23 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     `coeffs[..., :N//2 + 1]`, is read.  The full spectrum and that half
     therefore give identical output.  N is read from the second-to-last
     axis, which is never halved.
+
+    The complex passes over the first n - 1 axes run in place on a copy of
+    that half, and one complex-to-real pass over the last axis makes the
+    output: the axis order and scaling of `irfftn`, whose output is the
+    same to the byte.  `overwrite=True` skips the copy and runs the complex
+    passes in the caller's array, whose half is then consumed (left
+    holding garbage); only a caller that owns its input and reads it no
+    more may set it.
     """
     N = coeffs.shape[-2]
-    axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
-    return _fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
-                       norm="forward")
+    work = coeffs[..., : N // 2 + 1]
+    if not overwrite:
+        work = work.copy()
+    # keep the returned array: scipy copies an unaligned or non-native input
+    work = _fft.ifftn(work, axes=tuple(range(coeffs.ndim - n, coeffs.ndim - 1)),
+                      norm="forward", overwrite_x=True)
+    return _fft.irfft(work, n=N, axis=-1, norm="forward")
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -239,10 +253,12 @@ def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
     Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`, from the
     `gradient_batch` of m + n^2 components (m = len(lead), 0 when lead is
     None), which holds only the k_n >= 0 half that `coeffs_to_grid` reads.
+    The batch is built here and read by nothing else, so the transform
+    consumes it.
     """
     n = lattice.n
     m = 0 if lead is None else len(lead)
-    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n)
+    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n, overwrite=True)
     return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
 
 

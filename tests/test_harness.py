@@ -746,8 +746,17 @@ def test_cli_scale_check_overflowing_energy_ratio_exit_1_before_any_step(
 
 
 def test_cli_exponents_overflowing_alpha_exit_1(capsys):
-    assert main(["exponents", "--n", "3", "--alpha", "1e400"]) == 1
-    assert "invalid --alpha" in capsys.readouterr().err
+    big = "1" + "0" * 400
+    for argv, name in [
+        (["--n", "3", "--alpha", "1e400"], "--alpha"),
+        (["--n", "3", "--alpha", "1.7e308"], "--alpha"),  # the margin is 3.4e308
+        (["--n", "3", "--alpha", big], "--alpha"),
+        (["--n", "3", "--alpha", big + "/3"], "--alpha"),
+        (["--n", big], "--n"),
+    ]:
+        assert main(["exponents", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert f"invalid {name}" in err and not out, argv
 
 
 def test_cli_scale_check_prints_the_whole_report(tmp_path, capsys):

@@ -139,12 +139,27 @@ def _transform_batch(u):
     ])
 
 
+def assert_same_bytes(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 def test_coeffs_to_grid_reads_only_the_half_spectrum(n, N):
-    batch = _transform_batch(make_random_field(n=n, N=N, seed=22, band=(1, 4)))
-    full = coeffs_to_grid(batch, n)
-    np.testing.assert_array_equal(coeffs_to_grid(batch[..., : N // 2 + 1], n), full)
-    np.testing.assert_array_equal(coeffs_to_grid(batch[0], n), full[0])
+    # byte-equal to scipy's irfftn of the k_n >= 0 half, for a batched and a
+    # bare array of full or half width, with the input copied (default) or
+    # consumed (overwrite=True)
+    batched = _transform_batch(make_random_field(n=n, N=N, seed=22, band=(1, 4)))
+    for full in (batched, batched[0]):
+        for coeffs in (full, half_spectrum(full)):
+            axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
+            want = scipy.fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
+                                    norm="forward")
+            scratch = coeffs.copy()
+            assert_same_bytes(coeffs_to_grid(coeffs, n), want)
+            assert_same_bytes(coeffs, scratch)  # the default path leaves its input alone
+            assert_same_bytes(coeffs_to_grid(scratch, n, overwrite=True), want)
+            assert not np.array_equal(scratch, coeffs)  # the complex passes ran in it
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])

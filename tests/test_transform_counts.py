@@ -1,4 +1,5 @@
-"""Transformed-component counts of the RHS, CFL check and diagnostics record.
+"""Transformed-component counts of the RHS, CFL check and diagnostics record,
+and which inverse transforms may consume their input.
 
 Counters are installed on coeffs_to_grid/grid_to_coeffs under every module
 name that binds them, so a change that routes work around these two
@@ -13,7 +14,15 @@ import pytest
 import nshd.dynamics as dynamics
 import nshd.spectral as spectral
 from nshd.diagnostics import compute_diagnostics
-from nshd.dynamics import SolverConfig, SolverState, cfl_dt, nonlinear_rhs, step
+from nshd.dynamics import (
+    SolverConfig,
+    SolverState,
+    StepWorkspace,
+    cfl_dt,
+    dissipation_symbol,
+    nonlinear_rhs,
+    step,
+)
 
 from conftest import make_random_field
 
@@ -35,9 +44,9 @@ def transformed(monkeypatch):
     for name, key in (("coeffs_to_grid", "inverse"), ("grid_to_coeffs", "forward")):
         original = getattr(spectral, name)
 
-        def counted(values, n, original=original, key=key):
+        def counted(values, n, original=original, key=key, **kwargs):
             counts[key] += int(np.prod(values.shape[: values.ndim - n]))
-            return original(values, n)
+            return original(values, n, **kwargs)
 
         patch_everywhere(monkeypatch, original, counted)
     return counts
@@ -87,3 +96,39 @@ def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n)
     step(SolverState(u=u), 1e-3, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
     assert calls["nonlinear_rhs"] == 4
     assert calls["leray_project_coeffs"] >= 1 and calls["dealias_coeffs"] >= 1
+
+
+@pytest.mark.parametrize("n, record_batches", [(2, 1), (3, 2)])
+def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
+    # overwrite=True hands coeffs_to_grid its input as scratch: only the step
+    # workspace's batch and a record's fresh gradient batches (the pressure's,
+    # and the production's in 3D) may go that way, never a state's coefficients
+    consumed, built = [], []
+    inverse, batch = spectral.coeffs_to_grid, spectral.gradient_batch
+
+    def spy_inverse(values, n, **kwargs):
+        if kwargs.get("overwrite"):
+            consumed.append(values)
+        return inverse(values, n, **kwargs)
+
+    def spy_batch(*args, **kwargs):
+        built.append(batch(*args, **kwargs))
+        return built[-1]
+
+    patch_everywhere(monkeypatch, inverse, spy_inverse)
+    patch_everywhere(monkeypatch, batch, spy_batch)
+    cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
+    state = SolverState(u=make_random_field(n=n, N=16, seed=44, band=(1, 4)))
+    before = state.u.coeffs.copy()
+    lat = state.u.lattice
+    work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
+    step(state, 1e-3, cfg, work)
+    assert len(consumed) == 4 and all(v is work.batch for v in consumed)
+    consumed.clear()
+    built.clear()
+    cfl_dt(state.u, cfg)
+    assert not consumed
+    compute_diagnostics(state.u, cfg)
+    assert len(consumed) == record_batches
+    assert all(any(v is b for b in built) for v in consumed)
+    assert state.u.coeffs.tobytes() == before.tobytes()
