@@ -113,9 +113,12 @@ def _cmd_exponents(args) -> int:
     try:
         a_lions = lions_exponent(args.n)
         lines = [f"n = {args.n}", f"alpha_L = {a_lions} (= {float(a_lions):g})"]
-    except (ValueError, OverflowError) as exc:
-        reason = "alpha_L is past float range" if isinstance(exc, OverflowError) else exc
-        print(f"invalid --n {reprlib.repr(args.n)}: {reason}", file=sys.stderr)
+    except OverflowError:
+        print(f"invalid --n {reprlib.repr(args.n)}: alpha_L is past float range",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     if args.alpha is not None:
         try:

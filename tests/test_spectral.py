@@ -148,8 +148,11 @@ def assert_same_bytes(got, want):
 def test_coeffs_to_grid_reads_only_the_half_spectrum(n, N):
     # byte-equal to scipy's irfftn of the k_n >= 0 half, for a batched and a
     # bare array of full or half width, with the input copied (default) or
-    # consumed (overwrite=True)
+    # consumed (overwrite=True); row 0 of a batch equals the bare transform
     batched = _transform_batch(make_random_field(n=n, N=N, seed=22, band=(1, 4)))
+    assert_same_bytes(coeffs_to_grid(batched[0], n), coeffs_to_grid(batched, n)[0])
+    assert_same_bytes(coeffs_to_grid(batched[0].copy(), n, overwrite=True),
+                      coeffs_to_grid(batched.copy(), n, overwrite=True)[0])
     for full in (batched, batched[0]):
         for coeffs in (full, half_spectrum(full)):
             axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
