@@ -8,10 +8,14 @@ dissipative part is handled exactly: with the nonlinearity switched off a
 step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
 system, whose symbol is zero.
 
-States are stored as full spectra; a step works on the k_n >= 0 half of the
-real field's spectrum and completes its result once.  Its arrays (the
-transform batch, the grid product and the RK4 stages) live in a
-`StepWorkspace` that the stages and the RHS cleanup update in place.
+States are stored as full spectra.  A step works on the kept columns of the
+real field's k_n >= 0 half spectrum, the first w columns of the last axis
+that the 2/3 rule keeps (w = 22 of 33 at N=64, 11 of 17 at N=32; every
+column under verify's `dealias_off` fault), and completes its result once.
+The columns k_n >= N/3 hold exact zeros after every step, so dropping them
+changes no output byte.  The step's arrays (the transform batch, the grid
+product and the RK4 stages) live in a `StepWorkspace` that the stages and
+the RHS cleanup update in place.
 `advance` builds one workspace per run, drops it before each diagnostics
 record and builds it again at the next step; `verify` builds one per
 integration.  There is no module-level cache, so threads that each advance
@@ -53,7 +57,6 @@ from .spectral import (
     full_spectrum,
     gradient_batch,
     grid_to_coeffs,
-    half_spectrum,
     leray_project_coeffs,
     velocity_gradient_grid,
 )
@@ -176,18 +179,26 @@ class SlabPool:
 
 
 class StepWorkspace:
-    """The arrays IF-RK4 steps on one lattice reuse, all on the k_n >= 0 half.
+    """The arrays IF-RK4 steps on one lattice reuse, on its kept columns.
 
-    It holds the half-width dissipation symbol, the (n + n^2)-component batch
+    `width` is w, the number of leading k_n >= 0 columns of the last axis
+    that the lattice's dealias mask keeps anywhere: the columns k_n < N/3,
+    or the whole half N//2 + 1 when the mask keeps every mode.  A step
+    holds and computes only those columns, since the rest are zeroed by
+    the 2/3 rule; `kept` cuts a state to them.
+
+    It holds the width-w dissipation symbol, the (n + n^2)-component batch
     that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
-    and four stage buffers (RHS output, b + c, stage input, accumulator).
-    The batch is scratch: each RHS call builds it afresh and its inverse
-    transform consumes it, so it holds nothing between calls.
+    and four width-w stage buffers (RHS output, b + c, stage input,
+    accumulator).  The batch is N//2 + 1 wide, as the complex-to-real pass
+    reads, and zeroed once: each RHS call builds its first w columns afresh
+    and its inverse transform consumes them, while the columns past w are
+    written by nothing and stay zero.
 
     `slabs` cuts the first wavenumber/grid axis into k = min(pool.k, N) row
     slabs (the first N mod k one row longer), once.  A slab holds its `rows`
     and the `lattice` arrays the spectral operators read, cut to those rows
-    and the k_n >= 0 half, and stands in for the lattice in their calls.
+    and the first w columns, and stands in for the lattice in their calls.
     `each` runs a pointwise kernel on every slab, each written by one thread.
     The pool is lent by the caller (`advance` keeps one per run); the default
     runs one slab, the whole array, on the calling thread.
@@ -203,18 +214,19 @@ class StepWorkspace:
     def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray,
                  pool: SlabPool | None = None):
         n, N, half = lattice.n, lattice.N, lattice.N // 2 + 1
-        half_shape = lattice.shape[:-1] + (half,)
+        kept = lattice.dealias_mask_array.reshape(-1, N)[:, :half].any(axis=0)
+        w = self.width = int(np.flatnonzero(kept)[-1]) + 1
         self.lattice = lattice
-        self.symbol = np.ascontiguousarray(symbol[..., :half])  # full or half width
-        self.batch = np.empty((n + n * n,) + half_shape, dtype=np.complex128)
+        self.symbol = np.ascontiguousarray(symbol[..., :w])  # any width of at least w
+        self.batch = np.zeros((n + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
-        self.stages = np.empty((4, n) + half_shape, dtype=np.complex128)
+        self.stages = np.empty((4, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
         self.pool = SlabPool() if pool is None else pool
         k = min(self.pool.k, N)  # no empty slab, no idle thread
         q, r = divmod(N, k)
         edges = [i * q + min(i, r) for i in range(k + 1)]
         # a sparse mode grid keeps its broadcast (length 1) first axis whole
-        cut = lambda a, rows: a[(rows if a.shape[0] > 1 else slice(None), ..., slice(half))]
+        cut = lambda a, rows: a[(rows if a.shape[0] > 1 else slice(None), ..., slice(w))]
         self.slabs = [SimpleNamespace(rows=rows, n=n, N=N,
                                       mode_grids=tuple(cut(g, rows) for g in lattice.mode_grids),
                                       inv_ksq_array=cut(lattice.inv_ksq_array, rows),
@@ -225,6 +237,18 @@ class StepWorkspace:
         """fn(slab) for every row slab, on the pool's threads."""
         self.pool.run(fn, self.slabs)
 
+    def kept(self, coeffs: np.ndarray) -> np.ndarray:
+        """A contiguous copy of the first `width` columns of a full or half spectrum.
+
+        Raises ValueError if a column it drops on the k_n >= 0 half holds a
+        nonzero mode, so no energy is dropped silently.
+        """
+        dropped = coeffs[..., self.width : self.lattice.N // 2 + 1]
+        if np.any(dropped):
+            raise ValueError(f"nonzero modes at k_n >= {self.width}, which the 2/3 rule "
+                             f"of N={self.lattice.N} drops")
+        return coeffs[..., : self.width].copy()
+
 
 def _clean(slab, coeffs: np.ndarray, out: np.ndarray) -> None:
     """Dealias `coeffs` into `out`, Leray-project it and zero its mean; all three are one slab's."""
@@ -234,35 +258,34 @@ def _clean(slab, coeffs: np.ndarray, out: np.ndarray) -> None:
         out[(slice(None),) + (0,) * slab.n] = 0.0
 
 
-def nonlinear_rhs(lattice: WavenumberLattice, coeffs: np.ndarray,
-                  work: StepWorkspace | None = None,
+def nonlinear_rhs(coeffs: np.ndarray, work: StepWorkspace,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """-P[(u.grad)u] on the k_n >= 0 half spectrum (array level).
+    """-P[(u.grad)u] on the kept columns of the k_n >= 0 half (array level).
 
     Velocity and all partial derivatives are transformed to the grid, the
     convective products are formed pointwise, and the result is transformed
     back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` may be
-    the full spectrum or its half; the result is the half, (n, N, ..., N//2 + 1).
-    The batch assembly, the product and the cleanup run on `work`'s row
-    slabs, in its arrays, and the cleanup writes `out`; `work` and `out`
-    are fresh when None.  The mask and projection are `work.lattice`'s;
-    `lattice` only builds a fresh `work`.  The two transforms take the whole
-    batch, and the inverse one runs in `work.batch`, consuming it.  `coeffs`
-    is not written.
+    the full spectrum, its half or its kept columns; only the first
+    `work.width` columns are read, so the rest must hold zeros.  The result
+    is (n, N, ..., work.width).  The lattice, its mask and projection are
+    `work.lattice`'s.  The batch assembly, the product and the cleanup run on
+    `work`'s row slabs, in its arrays, and the cleanup writes `out`, fresh
+    when None.  The two transforms take the whole batch on the kept columns,
+    and the inverse one runs in `work.batch`, consuming it.  `coeffs` is not
+    written.
     """
-    if work is None:
-        work = StepWorkspace(lattice, lattice.ksq_array)  # the symbol goes unused
-    n, shape = work.lattice.n, work.lattice.shape
+    n, shape, w = work.lattice.n, work.lattice.shape, work.width
     if out is None:
         out = np.empty_like(work.stages[0])
+    batch = work.batch[..., :w]
     work.each(lambda s: gradient_batch(s, coeffs[:, s.rows], coeffs[:, s.rows],
-                                       work.batch[:, s.rows]))
-    phys = coeffs_to_grid(work.batch, n, overwrite=True)
+                                       batch[:, s.rows]))
+    phys = coeffs_to_grid(work.batch, n, overwrite=True, width=w)
     vel, deriv = phys[:n], phys[n:].reshape((n, n) + shape)  # deriv[i, j] = d_j u_i
     work.each(lambda s: np.einsum("j...,ij...->i...", vel[:, s.rows], deriv[:, :, s.rows],
                                   out=work.conv[:, s.rows]))
     del phys, vel, deriv  # the grid batch is freed before the forward transform
-    conv_hat = grid_to_coeffs(work.conv, n)
+    conv_hat = grid_to_coeffs(work.conv, n, width=w)
 
     def cleanup(s):
         out_s = out[:, s.rows]
@@ -355,14 +378,14 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
 
 
 def _step_half(coeffs: np.ndarray, dt: float, work: StepWorkspace) -> np.ndarray:
-    """IF-RK4 step plus cleanup on k_n >= 0 half-spectrum arrays.
+    """IF-RK4 step plus cleanup on the first `work.width` columns of the half (`work.kept`).
 
     The RHS and the cleanup apply the 2/3-rule mask of `work.lattice`;
     verify's faults are inputs it builds into the workspace itself.  All
     pointwise work runs on the workspace's row slabs.  The result is a new
     array, outside the workspace.
     """
-    rhs = lambda c, out: nonlinear_rhs(work.lattice, c, work, out)
+    rhs = lambda c, out: nonlinear_rhs(c, work, out)
     new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages,
                       lambda kernel: work.each(lambda s: kernel(s.rows)))
     # divergence cleanup: cheap, stops projection drift from accumulating
@@ -375,15 +398,16 @@ def step(state: SolverState, dt: float, cfg: SolverConfig,
     """Advance one RK4 step of size dt; raises Diverged on non-finite output.
 
     `work` defaults to a fresh one-slab workspace on the state's lattice
-    with the dissipation symbol of cfg.  The step runs on the k_n >= 0 half
-    and completes the result once.
+    with the dissipation symbol of cfg.  The step runs on the workspace's
+    kept columns (`StepWorkspace.kept`, which raises ValueError rather
+    than drop a nonzero mode) and completes the result once.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     lat = state.u.lattice
     if work is None:
         work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
-    new = _step_half(half_spectrum(state.u.coeffs), dt, work)
+    new = _step_half(work.kept(state.u.coeffs), dt, work)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise Diverged(t_new, state.step_count + 1)
@@ -414,7 +438,7 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
     lat = state.u.lattice
-    symbol = half_spectrum(dissipation_symbol(lat, cfg.alpha, cfg.nu))
+    symbol = dissipation_symbol(lat, cfg.alpha, cfg.nu)
     work = None
 
     def emit(st, dt_last):
@@ -430,6 +454,7 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
             dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
             if work is None:
                 work = StepWorkspace(lat, symbol, pool)
+                symbol = work.symbol  # a rebuild reads only the kept columns
             try:
                 state = step(state, dt, cfg, work)
             except Diverged:

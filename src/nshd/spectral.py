@@ -8,6 +8,14 @@ follow the Fourier-series convention
 
 so Parseval reads  integral |f|^2 dx = (2*pi)^n * sum_k |c(k)|^2.
 
+The transforms work on the k_n >= 0 half of the last axis, N//2 + 1 columns,
+since the fields are real.  Both take a keyword-only `width` for arrays whose
+columns from `width` on are zero, as the 2/3 rule leaves them: the complex
+passes then skip those columns, and every computed column keeps its bytes.
+The array-level operators (`gradient_batch`, `dealias_coeffs`,
+`leray_project_coeffs`) take any width of the half, and `full_spectrum`
+completes one.
+
 The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
 
@@ -136,8 +144,9 @@ class SpectralVectorField:
     `coeffs` has shape (n, N, ..., N): component index first, then the FFT
     grid.  Valid solver states are Hermitian-symmetric (real-valued in
     physical space), zero-mean and divergence-free.  Time stepping works on
-    the k_n >= 0 half (`half_spectrum`) and completes back to this full
-    layout (`full_spectrum`), which diagnostics and checkpoints read.
+    the columns of the k_n >= 0 half that the 2/3 rule keeps
+    (`dynamics.StepWorkspace.kept`) and completes back to this full layout
+    (`full_spectrum`), which diagnostics and checkpoints read.
     """
 
     lattice: WavenumberLattice
@@ -159,17 +168,31 @@ class SpectralVectorField:
 # -- array-level transforms (leading axes are batched) ------------------------
 
 
-def grid_to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
+def grid_to_coeffs(values: np.ndarray, n: int, *, width: int | None = None) -> np.ndarray:
     """Forward real-to-complex transform of grid samples over the trailing n axes.
 
-    Returns only the k_n >= 0 half of the last axis, shape
-    (..., N, ..., N//2 + 1); `full_spectrum` completes it.
+    Returns the first `width` columns of the k_n >= 0 half of the last axis,
+    shape (..., N, ..., width); by default the whole half, width N//2 + 1,
+    which `full_spectrum` completes.
+
+    One real-to-complex pass over the last axis makes the half, which is
+    scaled by 1/N^n; its first `width` columns then run through the complex
+    passes over the other n - 1 axes in place, and that view of the half is
+    returned.  The axis order and scaling are those of `rfftn`, so every
+    returned column is its output to the byte, at any N; the complex passes
+    skip the columns past `width`.
     """
-    axes = tuple(range(values.ndim - n, values.ndim))
-    return _fft.rfftn(values, axes=axes, norm="forward")
+    N = values.shape[-1]
+    half = _fft.rfft(values, axis=-1)
+    # rfftn's scale, in its real-to-complex pass: the parts of each number alike
+    np.multiply(half.view(np.float64), float(1 / np.longdouble(N) ** n),
+                out=half.view(np.float64))
+    return _fft.fftn(half[..., :width], axes=tuple(range(values.ndim - n, values.ndim - 1)),
+                     overwrite_x=True)
 
 
-def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False) -> np.ndarray:
+def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False,
+                   width: int | None = None) -> np.ndarray:
     """Inverse transform to real grid samples over the trailing n axes.
 
     A complex-to-real transform: the coefficients must be Hermitian,
@@ -181,44 +204,46 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False) -> np
     The complex passes over the first n - 1 axes run in place on a copy of
     that half, and one complex-to-real pass over the last axis makes the
     output: the axis order and scaling of `irfftn`, whose output is the
-    same to the byte.  `overwrite=True` skips the copy and runs the complex
-    passes in the caller's array, whose half is then consumed (left
-    holding garbage); only a caller that owns its input and reads it no
+    same to the byte.  `width` declares that the half's columns from
+    `width` on hold zeros: the complex passes then run on the first `width`
+    columns only, and the output is unchanged.  `overwrite=True` skips the
+    copy and runs the complex passes in the caller's array, whose first
+    `width` columns are then consumed (left holding garbage) while the rest
+    is left as it was; only a caller that owns its input and reads it no
     more may set it.
     """
     N = coeffs.shape[-2]
     work = coeffs[..., : N // 2 + 1]
     if not overwrite:
         work = work.copy()
-    # keep the returned array: scipy copies an unaligned or non-native input
-    work = _fft.ifftn(work, axes=tuple(range(coeffs.ndim - n, coeffs.ndim - 1)),
+    cols = work[..., :width]
+    done = _fft.ifftn(cols, axes=tuple(range(coeffs.ndim - n, coeffs.ndim - 1)),
                       norm="forward", overwrite_x=True)
+    if not np.may_share_memory(done, cols):  # scipy copies an unaligned or non-native input
+        cols[...] = done
     return _fft.irfft(work, n=N, axis=-1, norm="forward")
 
 
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Contiguous copy of the k_n >= 0 half of the last axis, [..., :N//2 + 1]."""
-    N = coeffs.shape[-2]
-    return coeffs[..., : N // 2 + 1].copy()
-
-
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian completion of a k_n >= 0 half spectrum over the trailing n axes.
+    """Hermitian completion of the first columns of a k_n >= 0 half spectrum.
 
-    The modes k_n < 0 are filled with conj(c(-k)); the half itself, including
-    its k_n = 0 and k_n = N/2 planes, is copied unchanged.
+    `half` holds the first w <= N//2 + 1 columns of the last axis, over the
+    trailing n axes.  They are copied unchanged, the half's remaining
+    columns up to k_n = N/2 are zeros, and the modes k_n < 0 are filled with
+    conj(c(-k)), so the mirrors of the zeros are 0-0j.
     """
     N = half.shape[-2]
     w = N // 2 + 1
     full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
-    full[..., :w] = half
+    full[..., : half.shape[-1]] = half
+    full[..., half.shape[-1] : w] = 0.0
     # mode -k: index 0 stays 0 and 1..N-1 reverse on each leading axis; the
     # missing last-axis indices w..N-1 mirror N//2 - 1..1
     lead = (slice(None),) * (half.ndim - n)
     for flipped in itertools.product((False, True), repeat=n - 1):
         dst = tuple(slice(1, None) if f else slice(0, 1) for f in flipped)
         src = tuple(slice(None, 0, -1) if f else slice(0, 1) for f in flipped)
-        np.conjugate(half[lead + src + (slice(N // 2 - 1, 0, -1),)],
+        np.conjugate(full[lead + src + (slice(N // 2 - 1, 0, -1),)],
                      out=full[lead + dst + (slice(w, None),)])
     return full
 
@@ -227,20 +252,23 @@ def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
                    lead: np.ndarray | None = None,
                    batch: np.ndarray | None = None) -> np.ndarray:
     """The m + n^2 components (`lead`, then i k_j c_i at m + n i + j) on the
-    k_n >= 0 half spectrum, m = len(lead) or 0 when lead is None.
+    first columns of the k_n >= 0 half, m = len(lead) or 0 when lead is None.
 
-    They are built in `batch` when given, a complex array of that shape.
+    They are built in `batch` when given, a complex array of that shape
+    whose last axis sets how many columns; else in a fresh array of the
+    whole half, N//2 + 1 columns.
     """
     n = lattice.n
-    half = lattice.N // 2 + 1
     m = 0 if lead is None else len(lead)
     if batch is None:
-        batch = np.empty((m + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
+        batch = np.empty((m + n * n,) + lattice.shape[:-1] + (lattice.N // 2 + 1,),
+                         dtype=np.complex128)
+    width = batch.shape[-1]
     if m:
-        batch[:m] = lead[..., :half]
-    ik = [1j * g[..., :half] for g in lattice.mode_grids]
+        batch[:m] = lead[..., :width]
+    ik = [1j * g[..., :width] for g in lattice.mode_grids]
     for i in range(n):
-        c = coeffs[i, ..., :half]
+        c = coeffs[i, ..., :width]
         for j in range(n):
             np.multiply(ik[j], c, out=batch[m + n * i + j])
     return batch
@@ -271,7 +299,8 @@ def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
 
     The result goes to `out` when given, which may be `coeffs` itself.
 
-    Accepts the full spectrum or its k_n >= 0 half (last axis N//2 + 1).
+    Accepts the full spectrum or the first columns of its k_n >= 0 half
+    (last axis at most N//2 + 1).
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
     field it breaks the symmetry on the Nyquist planes (k_j = -N/2): a mode
     and its partner -k (mod N) share the label -N/2 on that axis, so their
@@ -305,7 +334,7 @@ def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Zero the 2/3-rule modes of a full spectrum or of its k_n >= 0 half.
+    """Zero the 2/3-rule modes of a full spectrum or of the first columns of its half.
 
     The result goes to `out` when given, which may be `coeffs` itself.
     """

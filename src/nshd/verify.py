@@ -56,7 +56,6 @@ from .spectral import (
     divergence_defect,
     full_spectrum,
     grid_to_coeffs,
-    half_spectrum,
     hermitian_defect,
     leray_project,
     leray_project_coeffs,
@@ -95,7 +94,7 @@ def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjectio
     """Fixed-step integration through the faulty kernel; samples stay on u0's lattice."""
     lat = u0.lattice
     work = StepWorkspace(*_faulty_inputs(lat, alpha, nu, faults))
-    coeffs = half_spectrum(u0.coeffs)
+    coeffs = work.kept(u0.coeffs)
     t = 0.0
     samples = [SpectralVectorField(lat, u0.coeffs, t)]
     step = 0
@@ -170,7 +169,8 @@ def _check_hermitian_preservation(faults):
     candidates = [
         leray_project(u),
         dealias(u),
-        u.with_coeffs(full_spectrum(nonlinear_rhs(u.lattice, u.coeffs), u.lattice.n)),
+        u.with_coeffs(full_spectrum(nonlinear_rhs(u.coeffs, StepWorkspace(
+            u.lattice, dissipation_symbol(u.lattice, 1.0, 0.5))), u.lattice.n)),
         _evolve(u, 1.0, 0.5, 0.02, 0.01, faults)[-1],
     ]
     worst = max(hermitian_defect(v) for v in candidates)

@@ -4,6 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from nshd.dynamics import StepWorkspace
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
 from nshd.spectral import SpectralVectorField, build_lattice
 
@@ -29,6 +30,16 @@ def make_random_field(n=2, N=32, seed=0, band=(1, 4), amplitude=1.0, slope=0.0):
     spec = InitialConditionSpec("random_band", amplitude=amplitude, seed=seed,
                                 band=band, spectrum_slope=slope)
     return random_band_limited(lat, spec)
+
+
+def rhs_workspace(lattice):
+    """A one-slab step workspace for bare `nonlinear_rhs` calls; its symbol goes unused."""
+    return StepWorkspace(lattice, lattice.ksq_array)
+
+
+def half_of(coeffs):
+    """A contiguous copy of the k_n >= 0 half of the last axis, [..., :N//2 + 1]."""
+    return coeffs[..., : coeffs.shape[-2] // 2 + 1].copy()
 
 
 def grid_coords(lattice):

@@ -8,6 +8,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+import nshd.dynamics as dynamics
 from nshd.diagnostics import energy, enstrophy_production
 from nshd.dynamics import (
     Diverged,
@@ -24,6 +25,7 @@ from nshd.dynamics import (
     step,
 )
 from nshd.initial_conditions import taylor_green
+from nshd.scaling import apply_discrete_rescale
 from nshd.spectral import (
     SpectralVectorField,
     build_lattice,
@@ -32,14 +34,20 @@ from nshd.spectral import (
     divergence_defect,
     full_spectrum,
     grid_to_coeffs,
-    half_spectrum,
     hermitian_defect,
     leray_project_coeffs,
     velocity_gradient_grid,
     vorticity,
 )
 
-from conftest import grid_coords, make_random_field, mean_mode, zero_field
+from conftest import (
+    grid_coords,
+    half_of,
+    make_random_field,
+    mean_mode,
+    rhs_workspace,
+    zero_field,
+)
 
 
 # -- convolution oracle -----------------------------------------------------------
@@ -71,7 +79,7 @@ def convection_oracle(u):
 
 
 def test_nonlinear_term_zero_field(lattice_2d):
-    out = full_spectrum(nonlinear_rhs(lattice_2d, zero_field(lattice_2d).coeffs), 2)
+    out = full_spectrum(nonlinear_rhs(zero_field(lattice_2d).coeffs, rhs_workspace(lattice_2d)), 2)
     assert np.all(out == 0)
 
 
@@ -79,7 +87,7 @@ def test_nonlinear_term_taylor_green_projects_to_zero():
     # the TG convective term is a pure gradient; projection annihilates it
     lat = build_lattice(2, 32)
     tg = taylor_green(lat, 1.0)
-    raw = nonlinear_rhs(lat, tg.coeffs)
+    raw = nonlinear_rhs(tg.coeffs, rhs_workspace(lat))
     assert np.max(np.abs(raw)) < 1e-14
     # pre-projection the term is nonzero but curl-free: check it is killed
     # by projecting the bare convolution
@@ -100,7 +108,7 @@ def test_nonlinear_single_mode_is_exact_solution():
     u = SpectralVectorField(lat, coeffs)
     oracle = convection_oracle(u)
     assert np.max(np.abs(oracle)) < 1e-15
-    assert np.max(np.abs(nonlinear_rhs(lat, u.coeffs))) < 1e-15
+    assert np.max(np.abs(nonlinear_rhs(u.coeffs, rhs_workspace(lat)))) < 1e-15
 
 
 def test_nonlinear_term_matches_convolution_oracle():
@@ -126,7 +134,7 @@ def test_nonlinear_term_matches_convolution_oracle():
     conv = convection_oracle(u)
     expected = -leray_project_coeffs(lat, dealias_coeffs(lat, conv))
     expected[(slice(None), 0, 0)] = 0.0
-    got = full_spectrum(nonlinear_rhs(lat, u.coeffs), 2)
+    got = full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(lat)), 2)
     np.testing.assert_allclose(got, expected, atol=1e-14)
     # interaction mode k_a + k_b = (3,2) must be populated after projection
     assert abs(got[0][3, 2]) > 1e-4
@@ -160,7 +168,7 @@ def full_spectrum_reference(u):
 def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
     u = make_random_field(n=n, N=N, seed=38, band=(1, 5))
     rhs, p, production = full_spectrum_reference(u)
-    got_rhs = full_spectrum(nonlinear_rhs(u.lattice, u.coeffs), n)
+    got_rhs = full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(u.lattice)), n)
     assert np.max(np.abs(got_rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
     got_p = compute_pressure(u)
     assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
@@ -171,7 +179,7 @@ def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
 @settings(max_examples=10)
 def test_nonlinear_term_invariants(seed):
     u = make_random_field(seed=seed, N=16, band=(1, 3))
-    out = u.with_coeffs(full_spectrum(nonlinear_rhs(u.lattice, u.coeffs), 2))
+    out = u.with_coeffs(full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(u.lattice)), 2))
     assert divergence_defect(out) <= 1e-12
     assert hermitian_defect(out) <= 1e-12
     assert np.all(mean_mode(out) == 0)
@@ -291,7 +299,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
     def rel_err(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    for work in (None, StepWorkspace(u0.lattice, symbol)):  # halves a full-width symbol
+    for work in (None, StepWorkspace(u0.lattice, symbol)):  # cuts a full-width symbol
         one = step(SolverState(u=u0), 1e-3, cfg, work)
         assert one.u.coeffs.shape == u0.coeffs.shape
         assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
@@ -375,16 +383,25 @@ def workspace_for(u, cfg):
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
+    # the workspace computes the kept columns of the half-width formula to
+    # the byte; the formula's remaining columns are exact zeros
     u = make_random_field(n=n, N=N, seed=43, band=(1, 5))
     lat = u.lattice
-    work = workspace_for(u, SolverConfig(n=n, N=N, alpha=1.25, nu=0.3, t_end=1.0))
-    coeffs = half_spectrum(u.coeffs)
-    rhs = nonlinear_rhs(lat, coeffs, work, work.stages[0])
-    assert rhs.tobytes() == reference_rhs(lat, coeffs).tobytes()
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.3, t_end=1.0)
+    work = workspace_for(u, cfg)
+    w, half = work.width, half_of(u.coeffs)
+    assert w == math.ceil(N / 3) < N // 2 + 1
+    coeffs = work.kept(u.coeffs)
+    rhs = nonlinear_rhs(coeffs, work, work.stages[0])
+    want_rhs = reference_rhs(lat, half)
+    assert rhs.tobytes() == np.ascontiguousarray(want_rhs[..., :w]).tobytes()
+    assert np.all(want_rhs[..., w:] == 0)
     got = if_rk4_step(coeffs, 2e-3, work.symbol,
-                      lambda c, out: nonlinear_rhs(lat, c, work, out), work.stages)
-    want = reference_if_rk4_step(coeffs, 2e-3, work.symbol, lambda c: reference_rhs(lat, c))
-    assert got.tobytes() == want.tobytes()
+                      lambda c, out: nonlinear_rhs(c, work, out), work.stages)
+    want = reference_if_rk4_step(half, 2e-3, half_of(dissipation_symbol(lat, cfg.alpha, cfg.nu)),
+                                 lambda c: reference_rhs(lat, c))
+    assert got.tobytes() == np.ascontiguousarray(want[..., :w]).tobytes()
+    assert np.all(want[..., w:] == 0)
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
@@ -393,10 +410,10 @@ def test_rhs_and_steps_leave_their_input_alone(n, N):
     cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=1.0)
     work = workspace_for(u, cfg)
     kept = u.coeffs.copy()
-    nonlinear_rhs(u.lattice, u.coeffs, work, work.stages[0])
+    nonlinear_rhs(u.coeffs, work, work.stages[0])
     step(SolverState(u=u), 1e-3, cfg, work)
     assert u.coeffs.tobytes() == kept.tobytes()
-    coeffs = half_spectrum(u.coeffs)
+    coeffs = work.kept(u.coeffs)
     kept = coeffs.copy()
     new = _step_half(coeffs, 1e-3, work)
     assert coeffs.tobytes() == kept.tobytes()
@@ -422,6 +439,56 @@ def test_advance_ends_byte_equal_to_steps_without_a_workspace(n, N, stride, reco
         state = step(state, min(cfl_dt(state.u, cfg), cfg.t_end - state.t), cfg)
     assert (final.step_count, len(emitted)) == (7, records)
     assert final.u.coeffs.tobytes() == state.u.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_batch_columns_past_the_kept_width_stay_zero(monkeypatch, n, N):
+    # nothing writes them: not the batch assembly, not the inverse transform
+    # that consumes the kept columns, not the complex-to-real pass
+    built = []
+
+    class Recorded(StepWorkspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(dynamics, "StepWorkspace", Recorded)
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=3e-3, dt_max=1e-3,
+                       diag_stride=10**9)
+    final = advance(SolverState(u=make_random_field(n=n, N=N, seed=47, band=(1, 5))), cfg)
+    assert final.step_count == 3 and len(built) == 1
+    work = built[0]
+    assert work.width == math.ceil(N / 3) < N // 2 + 1
+    assert np.any(work.batch[..., : work.width])  # the consumed kept columns
+    tail = work.batch[..., work.width :]
+    assert tail.tobytes() == bytes(tail.nbytes)
+
+
+def test_a_step_never_drops_a_nonzero_mode():
+    # a 2D N=32 step keeps the columns k_n <= 10; a mode at k = (0, 11) would
+    # be lost, so the cut raises, in `step` and in verify's loop alike
+    lat = build_lattice(2, 32)
+    coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
+    coeffs[0][0, 11] = coeffs[0][0, -11] = 0.1  # u = (0.2 cos 11y, 0)
+    u = SpectralVectorField(lat, coeffs)
+    cfg = SolverConfig(n=2, N=32, alpha=1.0, t_end=1.0)
+    with pytest.raises(ValueError, match="k_n >= 11"):
+        step(SolverState(u=u), 1e-3, cfg)
+    from nshd.verify import FaultInjection, _evolve, _faulty_inputs
+
+    with pytest.raises(ValueError, match="k_n >= 11"):
+        _evolve(u, 1.0, 0.5, 0.02, 0.01, FaultInjection())
+    # verify's dealias_off workspace keeps every column, so it drops nothing
+    off = StepWorkspace(*_faulty_inputs(lat, 1.0, 0.5, FaultInjection(dealias_off=True)))
+    assert off.kept(coeffs).tobytes() == half_of(coeffs).tobytes()
+    # initial fields up to the largest band a config accepts, their steps and
+    # their zooms keep every mode
+    work = workspace_for(u, cfg)
+    for field in (make_random_field(seed=54, band=(1, 4)), make_random_field(seed=55, band=(1, 10)),
+                  apply_discrete_rescale(make_random_field(seed=56, band=(1, 5)), 2, 1.0)):
+        state = step(SolverState(u=field), 1e-3, cfg, work)
+        assert np.all(work.kept(field.coeffs) == half_of(field.coeffs)[..., : work.width])
+        work.kept(state.u.coeffs)
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16), (3, 32)])

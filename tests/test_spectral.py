@@ -15,7 +15,6 @@ from nshd.spectral import (
     divergence_defect,
     full_spectrum,
     grid_to_coeffs,
-    half_spectrum,
     hermitian_conjugate,
     hermitian_defect,
     leray_project,
@@ -24,7 +23,7 @@ from nshd.spectral import (
 )
 from nshd.initial_conditions import taylor_green
 
-from conftest import grid_coords, make_random_field, zero_field
+from conftest import grid_coords, half_of, make_random_field, zero_field
 
 
 # -- lattice -------------------------------------------------------------------
@@ -154,7 +153,7 @@ def test_coeffs_to_grid_reads_only_the_half_spectrum(n, N):
     assert_same_bytes(coeffs_to_grid(batched[0].copy(), n, overwrite=True),
                       coeffs_to_grid(batched.copy(), n, overwrite=True)[0])
     for full in (batched, batched[0]):
-        for coeffs in (full, half_spectrum(full)):
+        for coeffs in (full, half_of(full)):
             axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
             want = scipy.fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
                                     norm="forward")
@@ -177,6 +176,32 @@ def test_coeffs_to_grid_matches_complex_inverse(n, N, seed):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n, N", [(2, 32), (2, 256), (3, 16), (3, 64), (2, 48)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_transforms_on_the_kept_columns_equal_the_full_width_ones(n, N, workers):
+    # width = w runs the complex passes on the first w columns only: the
+    # inverse of a half whose columns from w on are zero, and the first w
+    # columns of the forward, are the full-width bytes; the full-width
+    # forward is rfftn's, at N = 48 too
+    w = math.ceil(N / 3)
+    rng = np.random.default_rng(60 + N)
+    shape = (n,) + (N,) * (n - 1) + (N // 2 + 1,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half[..., w:] = 0.0
+    x = rng.standard_normal((n,) + (N,) * n)
+    with scipy.fft.set_workers(workers):
+        want = coeffs_to_grid(half, n)
+        assert_same_bytes(coeffs_to_grid(half, n, width=w), want)
+        scratch = half.copy()
+        assert_same_bytes(coeffs_to_grid(scratch, n, overwrite=True, width=w), want)
+        assert scratch[..., w:].tobytes() == half[..., w:].tobytes()  # never written
+        full = grid_to_coeffs(x, n)
+        kept = grid_to_coeffs(x, n, width=w)
+        rfftn = scipy.fft.rfftn(x, axes=tuple(range(1, n + 1)), norm="forward")
+    assert_same_bytes(full, rfftn)
+    assert_same_bytes(np.ascontiguousarray(kept), np.ascontiguousarray(full[..., :w]))
+
+
 # -- half-spectrum layout ---------------------------------------------------------
 
 
@@ -185,10 +210,17 @@ def test_coeffs_to_grid_matches_complex_inverse(n, N, seed):
 @settings(max_examples=10)
 def test_full_spectrum_inverts_half_spectrum(n, N, seed):
     c = make_random_field(n=n, N=N, seed=seed, band=(1, 4)).coeffs
-    half = half_spectrum(c)
+    half = half_of(c)
     assert half.shape == (n,) + (N,) * (n - 1) + (N // 2 + 1,)
     assert half.flags.c_contiguous
     np.testing.assert_array_equal(full_spectrum(half, n), c)
+    # from the first columns only: the rest of the half are +0, their mirrors 0-0j
+    kept = full_spectrum(half[..., :5], n)
+    np.testing.assert_array_equal(kept, c)
+    assert kept[..., 5 : N // 2 + 1].tobytes() == bytes(kept[..., 5 : N // 2 + 1].nbytes)
+    mirrors = kept[..., N // 2 + 1 : N - 4]
+    assert mirrors.real.tobytes() == bytes(mirrors.real.nbytes)
+    assert np.all(np.signbit(mirrors.imag))
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])

@@ -55,7 +55,7 @@ def transformed(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_rhs_and_step_counts(transformed, n):
     u = make_random_field(n=n, N=16, seed=40, band=(1, 4))
-    nonlinear_rhs(u.lattice, u.coeffs)
+    nonlinear_rhs(u.coeffs, StepWorkspace(u.lattice, u.lattice.ksq_array))
     assert transformed == {"inverse": n + n * n, "forward": n}
     transformed.update(inverse=0, forward=0)
     cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
@@ -102,20 +102,31 @@ def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n)
 def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     # overwrite=True hands coeffs_to_grid its input as scratch: only the step
     # workspace's batch and a record's fresh gradient batches (the pressure's,
-    # and the production's in 3D) may go that way, never a state's coefficients
-    consumed, built = [], []
-    inverse, batch = spectral.coeffs_to_grid, spectral.gradient_batch
+    # and the production's in 3D) may go that way, never a state's coefficients;
+    # and only the step's own transforms, its batch and its forward pass, run
+    # on the kept width
+    consumed, built, narrowed = [], [], []
+    inverse, forward = spectral.coeffs_to_grid, spectral.grid_to_coeffs
+    batch = spectral.gradient_batch
 
     def spy_inverse(values, n, **kwargs):
         if kwargs.get("overwrite"):
             consumed.append(values)
+        if "width" in kwargs:
+            narrowed.append(("inverse", values, kwargs["width"]))
         return inverse(values, n, **kwargs)
+
+    def spy_forward(values, n, **kwargs):
+        if "width" in kwargs:
+            narrowed.append(("forward", values, kwargs["width"]))
+        return forward(values, n, **kwargs)
 
     def spy_batch(*args, **kwargs):
         built.append(batch(*args, **kwargs))
         return built[-1]
 
     patch_everywhere(monkeypatch, inverse, spy_inverse)
+    patch_everywhere(monkeypatch, forward, spy_forward)
     patch_everywhere(monkeypatch, batch, spy_batch)
     cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
     state = SolverState(u=make_random_field(n=n, N=16, seed=44, band=(1, 4)))
@@ -124,11 +135,16 @@ def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
     step(state, 1e-3, cfg, work)
     assert len(consumed) == 4 and all(v is work.batch for v in consumed)
+    assert [(kind, w) for kind, _, w in narrowed] == [("inverse", 6), ("forward", 6)] * 4
+    assert all(v is (work.batch if kind == "inverse" else work.conv)
+               for kind, v, _ in narrowed)
     consumed.clear()
     built.clear()
+    narrowed.clear()
     cfl_dt(state.u, cfg)
     assert not consumed
     compute_diagnostics(state.u, cfg)
     assert len(consumed) == record_batches
     assert all(any(v is b for b in built) for v in consumed)
+    assert not narrowed
     assert state.u.coeffs.tobytes() == before.tobytes()
