@@ -1,6 +1,13 @@
 """The verification suite must pass fresh and catch injected defects."""
 
+import csv
+import math
+import os
+
 from nshd.verify import FaultInjection, PROPERTY_CHECKS, PropertyResult, run_verification
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference",
+                         "verify_results.csv")
 
 
 def _by_name(results):
@@ -11,11 +18,28 @@ def _failed(results):
     return {r.name for r in results if not r.passed}
 
 
+def assert_matches_reference(results, faults):
+    """`results` against the `faults` rows of tests/reference/verify_results.csv
+    (written by tests/reference/regen.py): passed and detail exactly, finite
+    metrics to 1e-12 relative, the others by equality."""
+    with open(REFERENCE, newline="") as fh:
+        want = [row for row in csv.DictReader(fh) if row["faults"] == faults]
+    assert [r.name for r in results] == [row["name"] for row in want]
+    for r, row in zip(results, want):
+        assert (str(r.passed), r.detail) == (row["passed"], row["detail"]), r.name
+        metric = float(row["metric"])
+        if math.isfinite(metric):
+            assert math.isclose(r.metric, metric, rel_tol=1e-12, abs_tol=0.0), r.name
+        else:
+            assert repr(r.metric) == row["metric"], r.name
+
+
 def test_fresh_build_all_properties_pass():
     results = run_verification()
     assert [r.name for r in results] == list(PROPERTY_CHECKS)
     failed = [r.name for r in results if not r.passed]
     assert failed == []
+    assert_matches_reference(results, "none")
 
 
 def test_filter_selects_subset():
@@ -33,6 +57,7 @@ def test_dissipation_sign_flip_breaks_energy_monotonicity():
         "energy_monotonic", "moment_inequality_taylor_green",
         "solution_map_commutation",
     }
+    assert_matches_reference(results, "dissipation_sign_flip")
 
 
 def test_dealias_off_degrades_energy_balance_only():
@@ -40,6 +65,7 @@ def test_dealias_off_degrades_energy_balance_only():
     # aliasing wrecks the energy balance; transforms, exact decay and the
     # quadratic-free identities are untouched
     assert _failed(results) == {"energy_identity", "inviscid_energy_conservation"}
+    assert_matches_reference(results, "dealias_off")
 
 
 def test_dealias_off_steps_on_a_faulty_lattice_and_samples_on_the_real_one(monkeypatch):
