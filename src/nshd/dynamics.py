@@ -8,18 +8,21 @@ dissipative part is handled exactly: with the nonlinearity switched off a
 step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
 system, whose symbol is zero.
 
-States are stored as full spectra.  A step works on the kept columns of the
-real field's k_n >= 0 half spectrum, the first w columns of the last axis
-that the 2/3 rule keeps (w = 22 of 33 at N=64, 11 of 17 at N=32; every
-column under verify's `dealias_off` fault), and completes its result once.
+States are stored as full spectra.  `step` is the only way a state
+advances, in `advance` and in verify's fixed-step loop alike.  It cuts the
+state to the kept columns of the real field's k_n >= 0 half spectrum, the
+first w columns of the last axis that the 2/3 rule keeps (w = 22 of 33 at
+N=64, 11 of 17 at N=32; every column under verify's `dealias_off` fault),
+steps and cleans them there and completes its result once.
 The columns k_n >= N/3 hold exact zeros after every step, so dropping them
 changes no output byte.  The step's arrays (the transform batch, the grid
 product and the RK4 stages) live in a `StepWorkspace` that the stages and
 the RHS cleanup update in place.
-`advance` builds one workspace per run, drops it before each diagnostics
-record and builds it again at the next step; `verify` builds one per
-integration.  There is no module-level cache, so threads that each advance
-their own run share nothing.
+Every `step` call is handed one: `advance` builds one per run, drops it
+before each diagnostics record and builds it again at the next step, and
+verify builds one per integration, with its faults in the lattice and
+symbol it passes.  There is no module-level cache, so threads that each
+advance their own run share nothing.
 
 The pointwise work of a step runs in k row slabs, cut along the first
 wavenumber (or grid) axis of its arrays: the RHS batch assembly, the grid
@@ -206,9 +209,9 @@ class StepWorkspace:
     A workspace is built once and reused across steps by one caller at a
     time, never shared between callers.  `advance` builds one per run and
     drops it before each diagnostics record, whose own arrays would otherwise
-    stack on top of it, and builds it again at the next step; a `step`
-    called without one builds a fresh one.  A step's result never lives in
-    the workspace, so it may be fed back as the next step's input.
+    stack on top of it, and builds it again at the next step; verify builds
+    one per integration.  A step's result never lives in the workspace, so
+    it may be fed back as the next step's input.
     """
 
     def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray,
@@ -377,40 +380,26 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
     return new
 
 
-def _step_half(coeffs: np.ndarray, dt: float, work: StepWorkspace) -> np.ndarray:
-    """IF-RK4 step plus cleanup on the first `work.width` columns of the half (`work.kept`).
+def step(state: SolverState, dt: float, work: StepWorkspace) -> SolverState:
+    """Advance one IF-RK4 step of size dt on `work`; raises Diverged on non-finite output.
 
-    The RHS and the cleanup apply the 2/3-rule mask of `work.lattice`;
-    verify's faults are inputs it builds into the workspace itself.  All
-    pointwise work runs on the workspace's row slabs.  The result is a new
-    array, outside the workspace.
-    """
-    rhs = lambda c, out: nonlinear_rhs(c, work, out)
-    new = if_rk4_step(coeffs, dt, work.symbol, rhs, work.stages,
-                      lambda kernel: work.each(lambda s: kernel(s.rows)))
-    # divergence cleanup: cheap, stops projection drift from accumulating
-    work.each(lambda s: _clean(s, new[:, s.rows], new[:, s.rows]))
-    return new
-
-
-def step(state: SolverState, dt: float, cfg: SolverConfig,
-         work: StepWorkspace | None = None) -> SolverState:
-    """Advance one RK4 step of size dt; raises Diverged on non-finite output.
-
-    `work` defaults to a fresh one-slab workspace on the state's lattice
-    with the dissipation symbol of cfg.  The step runs on the workspace's
-    kept columns (`StepWorkspace.kept`, which raises ValueError rather
-    than drop a nonzero mode) and completes the result once.
+    The state is cut to the workspace's kept columns (`StepWorkspace.kept`,
+    which raises ValueError rather than drop a nonzero mode), stepped with
+    the mask of `work.lattice` and the symbol `work.symbol` (verify builds
+    its faults into these), cleaned, checked and completed once.  All pointwise work runs on the workspace's row slabs.
+    The result is a new state on the state's lattice, outside the workspace.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    lat = state.u.lattice
-    if work is None:
-        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
-    new = _step_half(work.kept(state.u.coeffs), dt, work)
+    rhs = lambda c, out: nonlinear_rhs(c, work, out)
+    new = if_rk4_step(work.kept(state.u.coeffs), dt, work.symbol, rhs, work.stages,
+                      lambda kernel: work.each(lambda s: kernel(s.rows)))
+    # divergence cleanup: cheap, stops projection drift from accumulating
+    work.each(lambda s: _clean(s, new[:, s.rows], new[:, s.rows]))
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise Diverged(t_new, state.step_count + 1)
+    lat = state.u.lattice
     return SolverState(u=SpectralVectorField(lat, full_spectrum(new, lat.n), t_new),
                        step_count=state.step_count + 1)
 
@@ -456,7 +445,7 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
                 work = StepWorkspace(lat, symbol, pool)
                 symbol = work.symbol  # a rebuild reads only the kept columns
             try:
-                state = step(state, dt, cfg, work)
+                state = step(state, dt, work)
             except Diverged:
                 state = SolverState(
                     u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),

@@ -143,10 +143,11 @@ class SpectralVectorField:
 
     `coeffs` has shape (n, N, ..., N): component index first, then the FFT
     grid.  Valid solver states are Hermitian-symmetric (real-valued in
-    physical space), zero-mean and divergence-free.  Time stepping works on
-    the columns of the k_n >= 0 half that the 2/3 rule keeps
-    (`dynamics.StepWorkspace.kept`) and completes back to this full layout
-    (`full_spectrum`), which diagnostics and checkpoints read.
+    physical space), zero-mean and divergence-free.  `dynamics.step` cuts a
+    state to the columns of the k_n >= 0 half that the 2/3 rule keeps
+    (`dynamics.StepWorkspace.kept`), steps them and completes the result
+    back to this full layout (`full_spectrum`), which every step's caller,
+    diagnostics and checkpoints read.
     """
 
     lattice: WavenumberLattice

@@ -1,7 +1,7 @@
 """Standalone verification suite: every checkable identity, pass/fail per name.
 
-Dynamics-based properties run through a fixed-step loop over the solver's own
-stepping kernel.  Its faults (dissipation sign flip, dealiasing disabled) are
+Dynamics-based properties run through a fixed-step loop over `dynamics.step`,
+the step every run takes.  Its faults (dissipation sign flip, dealiasing disabled) are
 inputs built only here, so the suite itself can be tested: a deliberately
 broken operator must trip the property that watches for it, and only that kind.
 """
@@ -31,11 +31,12 @@ from .diagnostics import (
 )
 from .dynamics import (
     SolverConfig,
+    SolverState,
     StepWorkspace,
-    _step_half,
     dissipation_symbol,
     if_rk4_step,
     nonlinear_rhs,
+    step,
 )
 from .initial_conditions import InitialConditionSpec, random_band_limited, taylor_green
 from .scaling import (
@@ -91,21 +92,18 @@ def _faulty_inputs(lat, alpha, nu, faults: FaultInjection):
 
 def _evolve(u0: SpectralVectorField, alpha, nu, t_end, dt, faults: FaultInjection,
             stride=1):
-    """Fixed-step integration through the faulty kernel; samples stay on u0's lattice."""
-    lat = u0.lattice
-    work = StepWorkspace(*_faulty_inputs(lat, alpha, nu, faults))
-    coeffs = work.kept(u0.coeffs)
-    t = 0.0
-    samples = [SpectralVectorField(lat, u0.coeffs, t)]
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-14:
-            h = min(dt, t_end - t)
-            coeffs = _step_half(coeffs, h, work)
-            t += h
-            step += 1
-            if step % stride == 0 or t >= t_end - 1e-14:
-                samples.append(SpectralVectorField(lat, full_spectrum(coeffs, lat.n), t))
+    """Fixed steps of dt from u0 to t_end, by `dynamics.step` on the faulty workspace.
+
+    The samples are u0, every stride-th state and the last, on u0's lattice.
+    Raises Diverged if the integration overflows.
+    """
+    work = StepWorkspace(*_faulty_inputs(u0.lattice, alpha, nu, faults))
+    state = SolverState(u0)
+    samples = [u0]
+    while state.t < t_end - 1e-14:
+        state = step(state, min(dt, t_end - state.t), work)
+        if state.step_count % stride == 0 or state.t >= t_end - 1e-14:
+            samples.append(state.u)
     return samples
 
 

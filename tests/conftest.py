@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from nshd.dynamics import StepWorkspace
+from nshd.dynamics import StepWorkspace, dissipation_symbol
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
 from nshd.spectral import SpectralVectorField, build_lattice
 
@@ -35,6 +35,11 @@ def make_random_field(n=2, N=32, seed=0, band=(1, 4), amplitude=1.0, slope=0.0):
 def rhs_workspace(lattice):
     """A one-slab step workspace for bare `nonlinear_rhs` calls; its symbol goes unused."""
     return StepWorkspace(lattice, lattice.ksq_array)
+
+
+def workspace_for(u, cfg):
+    """A one-slab step workspace on u's lattice with cfg's dissipation symbol."""
+    return StepWorkspace(u.lattice, dissipation_symbol(u.lattice, cfg.alpha, cfg.nu))
 
 
 def half_of(coeffs):

@@ -15,7 +15,6 @@ from nshd.dynamics import (
     SolverConfig,
     SolverState,
     StepWorkspace,
-    _step_half,
     advance,
     cfl_dt,
     compute_pressure,
@@ -46,6 +45,7 @@ from conftest import (
     make_random_field,
     mean_mode,
     rhs_workspace,
+    workspace_for,
     zero_field,
 )
 
@@ -299,10 +299,9 @@ def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
     def rel_err(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    for work in (None, StepWorkspace(u0.lattice, symbol)):  # cuts a full-width symbol
-        one = step(SolverState(u=u0), 1e-3, cfg, work)
-        assert one.u.coeffs.shape == u0.coeffs.shape
-        assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
+    one = step(SolverState(u=u0), 1e-3, StepWorkspace(u0.lattice, symbol))  # a full-width symbol
+    assert one.u.coeffs.shape == u0.coeffs.shape
+    assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
     final = advance(SolverState(u=u0), cfg)
     assert final.step_count == 5
     assert rel_err(final.u.coeffs, ref[-1].coeffs) <= 1e-13
@@ -311,7 +310,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
 def test_step_zero_field_stays_zero(lattice_2d):
     cfg = SolverConfig(n=2, N=32, alpha=1.0, t_end=1.0)
     state = SolverState(u=zero_field(lattice_2d))
-    out = step(state, 0.25, cfg)
+    out = step(state, 0.25, workspace_for(state.u, cfg))
     assert np.all(out.u.coeffs == 0)
     assert out.t == 0.25 and out.step_count == 1
 
@@ -321,9 +320,9 @@ def test_step_taylor_green_full_dynamics():
     lat = build_lattice(2, 32)
     tg = taylor_green(lat, 1.0)
     cfg = SolverConfig(n=2, N=32, alpha=1.0, nu=1.0, t_end=1.0)
-    state = SolverState(u=tg)
+    state, work = SolverState(u=tg), workspace_for(tg, cfg)
     for _ in range(10):
-        state = step(state, 0.01, cfg)
+        state = step(state, 0.01, work)
     active = np.abs(tg.coeffs) > 0
     expected = tg.coeffs[active] * np.exp(-2 * 0.1)
     rel = np.max(np.abs(state.u.coeffs[active] - expected) / np.abs(expected))
@@ -333,12 +332,21 @@ def test_step_taylor_green_full_dynamics():
 def test_step_preserves_invariants():
     u = make_random_field(seed=32, N=32, band=(1, 5))
     cfg = SolverConfig(n=2, N=32, alpha=1.0, nu=0.1, t_end=1.0)
-    state = SolverState(u=u)
+    state, work = SolverState(u=u), workspace_for(u, cfg)
     for _ in range(5):
-        state = step(state, 0.005, cfg)
+        state = step(state, 0.005, work)
     assert hermitian_defect(state.u) <= 1e-12
     assert divergence_defect(state.u) <= 1e-12
     assert np.all(mean_mode(state.u) == 0)
+
+
+def test_step_refuses_a_nonpositive_dt():
+    u = make_random_field(seed=34, N=16, band=(1, 4))
+    state, work = SolverState(u=u), workspace_for(u, SolverConfig(n=2, N=16, alpha=1.0,
+                                                                  t_end=1.0))
+    for dt in (0.0, -1e-3, -0.0, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(state, dt, work)
 
 
 def test_step_diverged_error():
@@ -349,7 +357,7 @@ def test_step_diverged_error():
     cfg = SolverConfig(n=2, N=16, alpha=1.0, t_end=1.0)
     state = SolverState(u=SpectralVectorField(lat, coeffs, time=0.5), step_count=7)
     with pytest.raises(Diverged) as err:
-        step(state, 0.1, cfg)
+        step(state, 0.1, workspace_for(state.u, cfg))
     assert err.value.t == pytest.approx(0.6)
     assert err.value.step == 8
 
@@ -375,10 +383,6 @@ def reference_if_rk4_step(coeffs, dt, symbol, rhs):
     c = rhs(e_half * coeffs + 0.5 * dt * b)
     d = rhs(e_full * coeffs + dt * e_half * c)
     return e_full * coeffs + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
-
-
-def workspace_for(u, cfg):
-    return StepWorkspace(u.lattice, dissipation_symbol(u.lattice, cfg.alpha, cfg.nu))
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
@@ -411,18 +415,14 @@ def test_rhs_and_steps_leave_their_input_alone(n, N):
     work = workspace_for(u, cfg)
     kept = u.coeffs.copy()
     nonlinear_rhs(u.coeffs, work, work.stages[0])
-    step(SolverState(u=u), 1e-3, cfg, work)
+    new = step(SolverState(u=u), 1e-3, work)
     assert u.coeffs.tobytes() == kept.tobytes()
-    coeffs = work.kept(u.coeffs)
-    kept = coeffs.copy()
-    new = _step_half(coeffs, 1e-3, work)
-    assert coeffs.tobytes() == kept.tobytes()
-    # verify._evolve feeds the result back in: it must not be a workspace array,
-    # and whatever the workspace still holds must not reach the next step
+    # the next step reads the result: it must not be a workspace array, and
+    # whatever the workspace still holds must not reach the next step
     for buffer in (work.symbol, work.batch, work.conv, work.stages):
-        assert not np.shares_memory(new, buffer)
-    again = _step_half(new, 1e-3, work)
-    assert again.tobytes() == _step_half(new, 1e-3, workspace_for(u, cfg)).tobytes()
+        assert not np.shares_memory(new.u.coeffs, buffer)
+    again = step(new, 1e-3, work)
+    assert again.u.coeffs.tobytes() == step(new, 1e-3, workspace_for(u, cfg)).u.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
@@ -436,7 +436,8 @@ def test_advance_ends_byte_equal_to_steps_without_a_workspace(n, N, stride, reco
     final = advance(SolverState(u=u0), cfg, emitted.append)
     state = SolverState(u=u0)
     while state.step_count < final.step_count:
-        state = step(state, min(cfl_dt(state.u, cfg), cfg.t_end - state.t), cfg)
+        state = step(state, min(cfl_dt(state.u, cfg), cfg.t_end - state.t),
+                     workspace_for(state.u, cfg))
     assert (final.step_count, len(emitted)) == (7, records)
     assert final.u.coeffs.tobytes() == state.u.coeffs.tobytes()
 
@@ -473,7 +474,7 @@ def test_a_step_never_drops_a_nonzero_mode():
     u = SpectralVectorField(lat, coeffs)
     cfg = SolverConfig(n=2, N=32, alpha=1.0, t_end=1.0)
     with pytest.raises(ValueError, match="k_n >= 11"):
-        step(SolverState(u=u), 1e-3, cfg)
+        step(SolverState(u=u), 1e-3, workspace_for(u, cfg))
     from nshd.verify import FaultInjection, _evolve, _faulty_inputs
 
     with pytest.raises(ValueError, match="k_n >= 11"):
@@ -486,7 +487,7 @@ def test_a_step_never_drops_a_nonzero_mode():
     work = workspace_for(u, cfg)
     for field in (make_random_field(seed=54, band=(1, 4)), make_random_field(seed=55, band=(1, 10)),
                   apply_discrete_rescale(make_random_field(seed=56, band=(1, 5)), 2, 1.0)):
-        state = step(SolverState(u=field), 1e-3, cfg, work)
+        state = step(SolverState(u=field), 1e-3, work)
         assert np.all(work.kept(field.coeffs) == half_of(field.coeffs)[..., : work.width])
         work.kept(state.u.coeffs)
 
@@ -498,14 +499,14 @@ def test_warm_step_allocates_at_most_three_transform_batches(n, N):
     u = make_random_field(n=n, N=N, seed=46, band=(1, 4))
     cfg = SolverConfig(n=n, N=N, alpha=1.0, t_end=1.0)
     work = workspace_for(u, cfg)
-    state = step(SolverState(u=u), 1e-3, cfg, work)  # the first step touches the workspace
+    state = step(SolverState(u=u), 1e-3, work)  # the first step touches the workspace
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         live, _ = tracemalloc.get_traced_memory()
-        step(state, 1e-3, cfg, work)
+        step(state, 1e-3, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:

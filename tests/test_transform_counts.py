@@ -24,7 +24,7 @@ from nshd.dynamics import (
     step,
 )
 
-from conftest import make_random_field
+from conftest import make_random_field, workspace_for
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -58,8 +58,7 @@ def test_rhs_and_step_counts(transformed, n):
     nonlinear_rhs(u.coeffs, StepWorkspace(u.lattice, u.lattice.ksq_array))
     assert transformed == {"inverse": n + n * n, "forward": n}
     transformed.update(inverse=0, forward=0)
-    cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
-    step(SolverState(u=u), 1e-3, cfg)
+    step(SolverState(u=u), 1e-3, workspace_for(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)))
     assert transformed == {"inverse": 4 * (n + n * n), "forward": 4 * n}
 
 
@@ -93,7 +92,7 @@ def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n)
 
         patch_everywhere(monkeypatch, original, counted)
     u = make_random_field(n=n, N=16, seed=43, band=(1, 4))
-    step(SolverState(u=u), 1e-3, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
+    step(SolverState(u=u), 1e-3, workspace_for(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)))
     assert calls["nonlinear_rhs"] == 4
     assert calls["leray_project_coeffs"] >= 1 and calls["dealias_coeffs"] >= 1
 
@@ -133,7 +132,7 @@ def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     before = state.u.coeffs.copy()
     lat = state.u.lattice
     work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
-    step(state, 1e-3, cfg, work)
+    step(state, 1e-3, work)
     assert len(consumed) == 4 and all(v is work.batch for v in consumed)
     assert [(kind, w) for kind, _, w in narrowed] == [("inverse", 6), ("forward", 6)] * 4
     assert all(v is (work.batch if kind == "inverse" else work.conv)

@@ -72,13 +72,13 @@ def test_dealias_off_steps_on_a_faulty_lattice_and_samples_on_the_real_one(monke
     import nshd.verify as v
 
     seen = []
-    step_half = v._step_half
+    step = v.step
 
-    def spy(coeffs, dt, work):
+    def spy(state, dt, work):
         seen.append(work)
-        return step_half(coeffs, dt, work)
+        return step(state, dt, work)
 
-    monkeypatch.setattr(v, "_step_half", spy)
+    monkeypatch.setattr(v, "step", spy)
     u0 = v._random_field(seed=8)
     samples = v._evolve(u0, 1.0, 0.5, 0.02, 0.01, FaultInjection(dealias_off=True))
     # one workspace for both steps, its mask from the faulty lattice
@@ -87,6 +87,27 @@ def test_dealias_off_steps_on_a_faulty_lattice_and_samples_on_the_real_one(monke
     assert seen[0].lattice.dealias_mask_array.all()
     assert all(s.lattice is u0.lattice for s in samples)
     assert not u0.lattice.dealias_mask_array.all()
+
+
+def test_fixed_step_samples_are_the_states_advance_reaches_at_the_same_dt():
+    # one stepper serves both loops: with dt_max = dt and a field slow enough
+    # that CFL does not bind, advance takes verify's steps; dt = 2^-9 keeps
+    # every sample time exact, so advance can stop at each of them
+    from nshd.dynamics import SolverConfig, SolverState, advance, cfl_dt
+    from nshd.verify import _evolve, _random_field
+
+    dt = 2.0**-9
+    u0 = _random_field(n=2, N=32, seed=17, band=(1, 6), amplitude=0.5)
+    samples = _evolve(u0, 1.25, 0.1, 6 * dt, dt, FaultInjection())
+    assert [s.time for s in samples] == [k * dt for k in range(7)]
+    unbound = SolverConfig(n=2, N=32, alpha=1.25, t_end=1.0, dt_max=1.0)
+    assert all(cfl_dt(s, unbound) > dt for s in samples)
+    for k, sample in enumerate(samples[1:], 1):
+        cfg = SolverConfig(n=2, N=32, alpha=1.25, nu=0.1, t_end=sample.time, dt_max=dt,
+                           diag_stride=10**9)
+        final = advance(SolverState(u=u0), cfg)
+        assert final.step_count == k
+        assert final.u.coeffs.tobytes() == sample.coeffs.tobytes()
 
 
 def test_property_crash_reports_failure(monkeypatch):
