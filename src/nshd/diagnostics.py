@@ -112,11 +112,13 @@ def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
 
 
 def tail_fraction(u: SpectralVectorField) -> float:
-    """Energy fraction in the shell |k| in [N/3 - 1, N/3)."""
+    """Energy fraction in the last shell the 2/3 rule keeps, max_j |k_j| in [N/3 - 1, N/3).
+
+    The shell is cut from `kmax_array` by the dealias mask (`zoom_cut`), the
+    table the solver cuts with.
+    """
     lat = u.lattice
-    kmod = lat.kmod_array
-    cut = lat.N / 3.0
-    shell = (kmod >= cut - 1.0) & (kmod < cut)
+    shell = lat.dealias_mask_array & (lat.kmax_array >= lat.N / 3.0 - 1.0)
     per_mode = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     total = float(np.sum(per_mode))
     if total == 0.0:

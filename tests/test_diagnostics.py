@@ -32,7 +32,7 @@ from nshd.dynamics import SolverConfig, SolverState, advance, compute_pressure
 from nshd.initial_conditions import taylor_green
 from nshd.spectral import SpectralVectorField, build_lattice, vorticity
 
-from conftest import make_random_field, zero_field
+from conftest import grid_coords, make_random_field, zero_field
 
 
 # -- scalar diagnostics ----------------------------------------------------------
@@ -306,6 +306,20 @@ def test_tail_fraction_and_flags():
     nan_field = low.with_coeffs(low.coeffs * np.nan)
     rec = compute_diagnostics(nan_field, cfg)
     assert rec.flags == ("diverged",)  # a NaN tail fraction fires no resolution_loss
+
+
+def test_tail_fraction_is_the_last_shell_the_dealias_mask_keeps():
+    # u = (0, 0, cos(10x + 10y)) on 3D N=32 lives at k = +-(10, 10, 0): |k| = 14.1
+    # lies past N/3, but max_j |k_j| = 10 is the last Chebyshev shell the 2/3
+    # rule keeps, so the whole energy is tail (a |k| shell read 3.4e-30)
+    lat = build_lattice(3, 32)
+    x, y, _ = grid_coords(lat)
+    grid = np.stack([np.zeros_like(x), np.zeros_like(x), np.cos(10 * x + 10 * y)])
+    u = SpectralVectorField(lat, spectral.full_spectrum(spectral.grid_to_coeffs(grid, 3), 3))
+    assert np.max(np.abs(u.coeffs[:, ~lat.dealias_mask_array])) < 1e-15  # round-off only
+    assert tail_fraction(u) == pytest.approx(1.0, rel=1e-12)
+    cfg = SolverConfig(n=3, N=32, alpha=1.25, nu=1.0, t_end=1.0)
+    assert compute_diagnostics(u, cfg).flags == ("resolution_loss",)
 
 
 def test_blowup_indicator_pure_function():
