@@ -386,8 +386,9 @@ def step(state: SolverState, dt: float, work: StepWorkspace) -> SolverState:
     The state is cut to the workspace's kept columns (`StepWorkspace.kept`,
     which raises ValueError rather than drop a nonzero mode), stepped with
     the mask of `work.lattice` and the symbol `work.symbol` (verify builds
-    its faults into these), cleaned, checked and completed once.  All pointwise work runs on the workspace's row slabs.
-    The result is a new state on the state's lattice, outside the workspace.
+    its faults into these), cleaned, checked and completed once.  All
+    pointwise work runs on the workspace's row slabs.  The result is a new
+    state on the state's lattice, outside the workspace.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")

@@ -1,9 +1,10 @@
 """Standalone verification suite: every checkable identity, pass/fail per name.
 
 Dynamics-based properties run through a fixed-step loop over `dynamics.step`,
-the step every run takes.  Its faults (dissipation sign flip, dealiasing disabled) are
-inputs built only here, so the suite itself can be tested: a deliberately
-broken operator must trip the property that watches for it, and only that kind.
+the step every run takes.  Its faults (dissipation sign flip, dealiasing
+disabled) are inputs built only here, so the suite itself can be tested: a
+deliberately broken operator must trip the property that watches for it, and
+only that kind.
 """
 
 from __future__ import annotations
