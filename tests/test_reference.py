@@ -9,7 +9,6 @@ Taylor-Green tail fraction (about 1e-39), whose bytes may differ between
 CPUs.
 """
 
-import csv
 import importlib.util
 import math
 import os
@@ -25,15 +24,10 @@ EXACT = ("step", "flags")
 REL_TOL, ABS_TOL = 1e-12, 1e-24
 
 
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 @pytest.mark.parametrize("name", sorted(regen.RUNS))
 def test_seeded_run_matches_its_reference(name, tmp_path):
-    want = read_rows(os.path.join(HERE, f"{name}.csv"))
-    got = read_rows(regen.run(name, tmp_path))
+    want = regen.read_rows(os.path.join(HERE, f"{name}.csv"))
+    got = regen.read_rows(regen.run(name, tmp_path))
     assert len(got) == len(want) > 1
     assert list(got[0]) == list(want[0])
     for row, ref in zip(got, want):
