@@ -3,8 +3,11 @@
 Layout (little-endian):
     magic "NSHD", version byte 1,
     header: u8 n, u32 N, f64 alpha, f64 nu, f64 time, u64 seed,
-    body: for each component i = 1..n, the complex coefficients in flat
-    row-major FFT order, each written as (f64 real, f64 imag).
+    body: for each component i = 1..n, the complex coefficients of every
+    mode in flat row-major FFT order, each written as (f64 real, f64 imag).
+
+A field is the k_n >= 0 half in memory and the full spectrum on disk: a
+write completes the half, and a read checks the modes k_n < 0 and cuts them.
 
 Writes are atomic: `atomic_open` sends the bytes to a temporary file in the
 same directory, which then replaces the target, so a failed write leaves the
@@ -21,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ConfigError, SpectralVectorField, build_lattice, check_grid
+from .spectral import (
+    ConfigError,
+    SpectralVectorField,
+    build_lattice,
+    check_grid,
+    full_spectrum,
+    hermitian_conjugate,
+)
 
 MAGIC = b"NSHD"
 VERSION = 1
@@ -29,7 +39,8 @@ _HEADER = struct.Struct("<4sBBIdddQ")
 
 
 class CheckpointFormatError(Exception):
-    """Raised when a checkpoint file has the wrong magic, version, header or size."""
+    """Raised when a checkpoint file has the wrong magic, version, header or size,
+    or a body that is not the spectrum of a real field."""
 
 
 @dataclass(frozen=True)
@@ -60,14 +71,18 @@ def write_checkpoint(path, u: SpectralVectorField, alpha: float, nu: float,
     lat = u.lattice
     header = _HEADER.pack(MAGIC, VERSION, lat.n, lat.N, float(alpha), float(nu),
                           float(u.time), int(seed))
-    body = np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes()
+    body = full_spectrum(u.coeffs, lat.n).astype("<c16", copy=False).tobytes()
     with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
 
 
 def read_checkpoint(path):
-    """Read a checkpoint; returns (SpectralVectorField, CheckpointMeta)."""
+    """Read a checkpoint; returns (SpectralVectorField, CheckpointMeta).
+
+    The body's modes k_n < 0 must equal the conjugates of their mirrors by
+    value, NaN equal to NaN, so that no mode is dropped silently.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -88,7 +103,11 @@ def read_checkpoint(path):
             f"checkpoint body has {len(body)} bytes, expected {expected}"
         )
     lattice = build_lattice(n, N)
-    coeffs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    coeffs = coeffs.reshape((n,) + lattice.shape)
-    field = SpectralVectorField(lattice, coeffs, time)
+    full = np.frombuffer(body, dtype="<c16").reshape((n,) + lattice.shape)
+    negative = (Ellipsis, slice(N // 2 + 1, None))  # the modes k_n < 0
+    if not np.array_equal(full[negative], hermitian_conjugate(lattice, full)[negative],
+                          equal_nan=True):
+        raise CheckpointFormatError("checkpoint body is not Hermitian: a mode k_n < 0 "
+                                    "differs from the conjugate of its mirror")
+    field = SpectralVectorField(lattice, lattice.half(full).astype(np.complex128), time)
     return field, CheckpointMeta(alpha=alpha, nu=nu, time=time, seed=seed)

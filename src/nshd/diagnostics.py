@@ -9,7 +9,8 @@ Conventions (Fourier-series coefficients on the 2*pi torus):
     Sobolev norm      ||u||_{H^beta}^2 = (2*pi)^n sum_k (1+|k|^2)^beta sum_i |u_i|^2
 
 Along exact solutions dE/dt = -D (the differentiated energy identity, with
-the factor 2 kept explicit).
+the factor 2 kept explicit).  Every sum_k runs over all modes, through
+`spectral.mode_sum` on the k_n >= 0 half that a field holds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .spectral import (
     SpectralVectorField,
     WavenumberLattice,
     coeffs_to_grid,
+    mode_sum,
     velocity_gradient_grid,
     vorticity,
 )
@@ -60,35 +62,37 @@ class DiagnosticsRecord:
 # -- scalar diagnostics --------------------------------------------------------
 
 
-def _mode_sum(weights: np.ndarray, u: SpectralVectorField) -> float:
-    """sum_k weights(k) sum_i |u_i(k)|^2."""
-    return float(np.sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
+def _weighted(weights: np.ndarray, u: SpectralVectorField) -> float:
+    """sum_k weights(k) sum_i |u_i(k)|^2, with `weights` on the k_n >= 0 half."""
+    return mode_sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0))
 
 
 def energy(u: SpectralVectorField) -> float:
-    return 0.5 * u.lattice.volume * float(np.sum(np.abs(u.coeffs) ** 2))
+    return 0.5 * u.lattice.volume * mode_sum(np.abs(u.coeffs) ** 2)
 
 
 def dissipation_rate(u: SpectralVectorField, alpha: float, nu: float) -> float:
     """D, weighted by the step's own `dynamics.dissipation_symbol`."""
-    return u.lattice.volume * _mode_sum(dissipation_symbol(u.lattice, alpha, nu), u)
+    return u.lattice.volume * _weighted(dissipation_symbol(u.lattice, alpha, nu), u)
 
 
 def moment_sums(lattice: WavenumberLattice, values, orders) -> list:
-    """[{m: M_m(v)} for each v along the leading axis of `values`] (|k|^0 = 1
-    at k = 0); |v| is formed once per call and |k|^m once per order."""
+    """[{m: M_m(v)} for each v along the leading axis of `values`, k_n >= 0
+    halves] (|k|^0 = 1 at k = 0); |v| is formed once per call and |k|^m once
+    per order."""
     mags = np.abs(values)
+    kmod = lattice.half(lattice.kmod_array)
     sums = [{} for _ in mags]
     for m in orders:
-        weights = lattice.kmod_array ** float(m)
+        weights = kmod ** float(m)
         for out, mag in zip(sums, mags):
-            out[m] = float(np.sum(weights * mag))
+            out[m] = mode_sum(weights * mag)
     return sums
 
 
 def enstrophy(u: SpectralVectorField) -> float:
     """1/2 ||grad u||^2, which is 1/2 ||omega||^2 when div u = 0."""
-    return 0.5 * u.lattice.volume * _mode_sum(u.lattice.ksq_array, u)
+    return 0.5 * u.lattice.volume * _weighted(u.lattice.half(u.lattice.ksq_array), u)
 
 
 def enstrophy_production(u: SpectralVectorField) -> float:
@@ -108,7 +112,7 @@ def max_velocity(u: SpectralVectorField) -> float:
 
 def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
     lat = u.lattice
-    return math.sqrt(lat.volume * _mode_sum((1.0 + lat.ksq_array) ** float(beta), u))
+    return math.sqrt(lat.volume * _weighted((1.0 + lat.half(lat.ksq_array)) ** float(beta), u))
 
 
 def tail_fraction(u: SpectralVectorField) -> float:
@@ -120,10 +124,10 @@ def tail_fraction(u: SpectralVectorField) -> float:
     lat = u.lattice
     shell = lat.dealias_mask_array & (lat.kmax_array >= lat.N / 3.0 - 1.0)
     per_mode = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    total = float(np.sum(per_mode))
+    total = mode_sum(per_mode)
     if total == 0.0:
         return 0.0
-    return float(np.sum(per_mode[shell])) / total
+    return mode_sum(np.where(lat.half(shell), per_mode, 0.0)) / total
 
 
 # -- the moment-inequality monitor ---------------------------------------------
@@ -263,7 +267,7 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
             if axis is None:
                 deriv = u.coeffs[i]
             else:
-                deriv = (1j * lat.mode_grids[axis]) ** beta_total * u.coeffs[i]
+                deriv = (1j * lat.half(lat.mode_grids[axis])) ** beta_total * u.coeffs[i]
             lhs = float(np.max(np.abs(coeffs_to_grid(deriv, lat.n))))
             out.append(MaxNormBoundCheck(i, axis, beta_total, lhs, rhs,
                                    lhs <= rhs + 1e-10))

@@ -8,16 +8,17 @@ dissipative part is handled exactly: with the nonlinearity switched off a
 step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
 system, whose symbol is zero.
 
-States are stored as full spectra.  `step` is the only way a state
-advances, in `advance` and in verify's fixed-step loop alike.  It cuts the
-state to the kept columns of the real field's k_n >= 0 half spectrum, the
-first w columns of the last axis that the 2/3 rule keeps (w = 22 of 33 at
-N=64, 11 of 17 at N=32; every column under verify's `dealias_off` fault),
-steps and cleans them there and completes its result once.
-The columns k_n >= N/3 hold exact zeros after every step, so dropping them
-changes no output byte.  The step's arrays (the transform batch, the grid
-product and the RK4 stages) live in a `StepWorkspace` that the stages and
-the RHS cleanup update in place.
+A state holds the real field's k_n >= 0 half spectrum: the half in memory,
+the full spectrum on disk.  `step` is the only way a state advances, in
+`advance` and in verify's fixed-step loop alike.  It cuts the state to the
+kept columns of the half, the first w columns of the last axis that the
+2/3 rule keeps (w = 22 of 33 at N=64, 11 of 17 at N=32; every column under
+verify's `dealias_off` fault), steps them and cleans them into a fresh
+half whose other columns are zeros.  The columns k_n >= N/3 hold exact
+zeros after every step, so dropping them changes no output byte.  The
+step's arrays (the transform batch, the grid product and the RK4 stages)
+live in a `StepWorkspace` that the stages and the RHS cleanup update in
+place.
 Every `step` call is handed one: `advance` builds one per run, drops it
 before each diagnostics record and builds it again at the next step, and
 verify builds one per integration, with its faults in the lattice and
@@ -33,8 +34,8 @@ so outputs are byte-identical for every k.  k is the `scipy.fft` worker
 count in force when `advance` starts (`harness` sets it), at most N;
 `advance` owns a `SlabPool` of k - 1 threads for that one run and the
 calling thread runs slab 0.  The `spectral` operators see a slab as a
-lattice and never a row.  The transforms, the finiteness check, `cfl_dt`,
-`full_spectrum` and the diagnostics records stay whole on the calling thread.
+lattice and never a row.  The transforms, the finiteness check, `cfl_dt`
+and the diagnostics records stay whole on the calling thread.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .spectral import (
     check_grid,
     coeffs_to_grid,
     dealias_coeffs,
-    full_spectrum,
     gradient_batch,
     grid_to_coeffs,
     leray_project_coeffs,
@@ -140,8 +140,8 @@ class SolverState:
 
 
 def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> np.ndarray:
-    """nu |k|^(2*alpha) per mode (zero at k = 0)."""
-    return nu * lattice.kmod_array ** (2.0 * alpha)
+    """nu |k|^(2*alpha) per mode of the k_n >= 0 half (zero at k = 0)."""
+    return nu * lattice.half(lattice.kmod_array) ** (2.0 * alpha)
 
 
 class SlabPool:
@@ -188,7 +188,8 @@ class StepWorkspace:
     that the lattice's dealias mask keeps anywhere: the columns k_n < N/3,
     or the whole half N//2 + 1 when the mask keeps every mode.  A step
     holds and computes only those columns, since the rest are zeroed by
-    the 2/3 rule; `kept` cuts a state to them.
+    the 2/3 rule; `kept` cuts a state's half to them, the one layout
+    change of a step.
 
     It holds the width-w dissipation symbol, the (n + n^2)-component batch
     that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
@@ -241,12 +242,12 @@ class StepWorkspace:
         self.pool.run(fn, self.slabs)
 
     def kept(self, coeffs: np.ndarray) -> np.ndarray:
-        """A contiguous copy of the first `width` columns of a full or half spectrum.
+        """A contiguous copy of the first `width` columns of a k_n >= 0 half.
 
-        Raises ValueError if a column it drops on the k_n >= 0 half holds a
-        nonzero mode, so no energy is dropped silently.
+        Raises ValueError if a column it drops holds a nonzero mode, so no
+        energy is dropped silently.
         """
-        dropped = coeffs[..., self.width : self.lattice.N // 2 + 1]
+        dropped = coeffs[..., self.width :]
         if np.any(dropped):
             raise ValueError(f"nonzero modes at k_n >= {self.width}, which the 2/3 rule "
                              f"of N={self.lattice.N} drops")
@@ -267,10 +268,10 @@ def nonlinear_rhs(coeffs: np.ndarray, work: StepWorkspace,
 
     Velocity and all partial derivatives are transformed to the grid, the
     convective products are formed pointwise, and the result is transformed
-    back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` may be
-    the full spectrum, its half or its kept columns; only the first
-    `work.width` columns are read, so the rest must hold zeros.  The result
-    is (n, N, ..., work.width).  The lattice, its mask and projection are
+    back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` is the
+    half or its kept columns; only the first `work.width` columns are read,
+    so the rest must hold zeros.  The result is (n, N, ..., work.width).
+    The lattice, its mask and projection are
     `work.lattice`'s.  The batch assembly, the product and the cleanup run on
     `work`'s row slabs, in its arrays, and the cleanup writes `out`, fresh
     when None.  The two transforms take the whole batch on the kept columns,
@@ -303,14 +304,14 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
     """Spectral pressure from the Poisson equation -lap(p) = Tr (grad u)^2.
 
     Tr (grad u)^2 = sum_{i,j} (d_i u_j)(d_j u_i) is formed pseudo-spectrally
-    and dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0.
-    The solve runs on the k_n >= 0 half; the full spectrum is returned.
+    and dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0,
+    on the k_n >= 0 half.
     """
     lat = u.lattice
     _, grad = velocity_gradient_grid(lat, u.coeffs)
     trace = np.einsum("ij...,ji...->...", grad, grad)
     g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n))
-    return full_spectrum(g_hat * lat.inv_ksq_array[..., : g_hat.shape[-1]], lat.n)
+    return g_hat * lat.inv_ksq_array[..., : g_hat.shape[-1]]
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
@@ -386,22 +387,23 @@ def step(state: SolverState, dt: float, work: StepWorkspace) -> SolverState:
     The state is cut to the workspace's kept columns (`StepWorkspace.kept`,
     which raises ValueError rather than drop a nonzero mode), stepped with
     the mask of `work.lattice` and the symbol `work.symbol` (verify builds
-    its faults into these), cleaned, checked and completed once.  All
-    pointwise work runs on the workspace's row slabs.  The result is a new
-    state on the state's lattice, outside the workspace.
+    its faults into these), cleaned into the kept columns of a zeroed half
+    and checked.  All pointwise work runs on the workspace's row slabs.
+    The result is a new state on the state's lattice, outside the workspace.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     rhs = lambda c, out: nonlinear_rhs(c, work, out)
     new = if_rk4_step(work.kept(state.u.coeffs), dt, work.symbol, rhs, work.stages,
                       lambda kernel: work.each(lambda s: kernel(s.rows)))
+    half = np.zeros(state.u.coeffs.shape, dtype=np.complex128)
+    kept = half[..., : work.width]
     # divergence cleanup: cheap, stops projection drift from accumulating
-    work.each(lambda s: _clean(s, new[:, s.rows], new[:, s.rows]))
+    work.each(lambda s: _clean(s, new[:, s.rows], kept[:, s.rows]))
     t_new = state.t + dt
-    if not np.all(np.isfinite(new)):
+    if not np.all(np.isfinite(kept)):
         raise Diverged(t_new, state.step_count + 1)
-    lat = state.u.lattice
-    return SolverState(u=SpectralVectorField(lat, full_spectrum(new, lat.n), t_new),
+    return SolverState(u=state.u.with_coeffs(half, time=t_new),
                        step_count=state.step_count + 1)
 
 

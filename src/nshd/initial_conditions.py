@@ -4,7 +4,8 @@ Random fields use numpy's Philox bit generator (philox4x64-10), a 64-bit
 counter-based RNG with a documented, platform-stable stream, so a (seed,
 lattice, band) triple reproduces coefficients bit-exactly.  Draw order is
 fixed: components major, then half-space modes in flat row-major order,
-real part before imaginary part.
+real part before imaginary part.  A field is built over every mode of the
+lattice and returned as the k_n >= 0 half that `SpectralVectorField` holds.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> Spectral
                     c_cos_z = 0.5
                     coeffs[0][i1, i2, i3] = amplitude * c_sin_x * c_cos_y * c_cos_z
                     coeffs[1][i1, i2, i3] = -amplitude * c_cos_x * c_sin_y * c_cos_z
-    return SpectralVectorField(lattice, coeffs, 0.0)
+    return SpectralVectorField(lattice, lattice.half(coeffs).copy(), 0.0)
 
 
 def _halfspace_mask(lattice: WavenumberLattice) -> np.ndarray:
@@ -149,8 +150,8 @@ def random_band_limited(lattice: WavenumberLattice, spec: InitialConditionSpec) 
     total = lattice.volume * np.sum(np.abs(coeffs) ** 2)  # = 2 * energy
     if total == 0.0:
         raise EmptyBand("projection annihilated every mode in the band")
-    coeffs *= spec.amplitude / np.sqrt(0.5 * total)
-    return SpectralVectorField(lattice, coeffs, 0.0)
+    half = lattice.half(coeffs) * (spec.amplitude / np.sqrt(0.5 * total))
+    return SpectralVectorField(lattice, half, 0.0)
 
 
 def build_initial_field(lattice: WavenumberLattice, spec: InitialConditionSpec) -> SpectralVectorField:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagnostics import energy
-from .spectral import SpectralVectorField, zoom_cut
+from .spectral import SpectralVectorField, mode_sum, zoom_cut
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -77,20 +77,19 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
     lat = u.lattice
     N = lat.N
     active = np.abs(u.coeffs).sum(axis=0) > 0
-    kmax = int(lat.kmax_array[active].max()) if active.any() else 0
+    kmax = int(lat.half(lat.kmax_array)[active].max()) if active.any() else 0
     if not zoom_cut(kmax, q, N):
         raise RescaleOverflow(
             f"q={q} pushes active modes (max |k_j|={kmax}) past N/3={N / 3:g}"
         )
     if q == 1:
         return u.with_coeffs(u.coeffs.copy())
-    src_modes = np.arange(-kmax, kmax + 1)
-    src_idx = src_modes % N
-    dst_idx = (q * src_modes) % N
+    # the half holds k_n >= 0 only, and q * kmax < N/3 keeps the image there
+    src_modes = [np.arange(-kmax, kmax + 1)] * (lat.n - 1) + [np.arange(kmax + 1)]
     factor = float(q) ** (2.0 * float(alpha) - 1.0)
     out = np.zeros_like(u.coeffs)
-    sel_src = (slice(None),) + np.ix_(*([src_idx] * lat.n))
-    sel_dst = (slice(None),) + np.ix_(*([dst_idx] * lat.n))
+    sel_src = (slice(None),) + np.ix_(*(k % N for k in src_modes))
+    sel_dst = (slice(None),) + np.ix_(*(q * k % N for k in src_modes))
     out[sel_dst] = factor * u.coeffs[sel_src]
     return u.with_coeffs(out)
 
@@ -98,7 +97,7 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
 def sub_ball(u: SpectralVectorField, q: int) -> SpectralVectorField:
     """u truncated to the modes inside `zoom_cut` for q, which a zoom by q keeps dealiased."""
     lat = u.lattice
-    return u.with_coeffs(u.coeffs * zoom_cut(lat.kmax_array, q, lat.N))
+    return u.with_coeffs(u.coeffs * zoom_cut(lat.half(lat.kmax_array), q, lat.N))
 
 
 def zoom_commutation(u0: SpectralVectorField, q: int, alpha, evolve) -> tuple[float, float]:
@@ -116,8 +115,8 @@ def zoom_commutation(u0: SpectralVectorField, q: int, alpha, evolve) -> tuple[fl
     sub = sub_ball(a, q)
     dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
     diff = apply_discrete_rescale(sub, q, alpha).coeffs - b
-    scale = np.sqrt(np.sum(np.abs(b) ** 2))
-    discrepancy = float(np.sqrt(np.sum(np.abs(diff) ** 2)) / scale) if scale else 0.0
+    scale = math.sqrt(mode_sum(np.abs(b) ** 2))
+    discrepancy = math.sqrt(mode_sum(np.abs(diff) ** 2)) / scale if scale else 0.0
     return discrepancy, dropped
 
 

@@ -8,13 +8,17 @@ follow the Fourier-series convention
 
 so Parseval reads  integral |f|^2 dx = (2*pi)^n * sum_k |c(k)|^2.
 
-The transforms work on the k_n >= 0 half of the last axis, N//2 + 1 columns,
-since the fields are real.  Both take a keyword-only `width` for arrays whose
-columns from `width` on are zero, as the 2/3 rule leaves them: the complex
-passes then skip those columns, and every computed column keeps its bytes.
-The array-level operators (`gradient_batch`, `dealias_coeffs`,
-`leray_project_coeffs`) take any width of the half, and `full_spectrum`
-completes one.
+The fields are real, so c(-k) = conj(c(k)), and a field holds only the
+k_n >= 0 half of the last axis, N//2 + 1 columns: the half in memory, the
+full spectrum on disk.  `full_spectrum` completes a half for the checkpoint
+file, and `mode_sum` turns a sum over the half into the sum over every mode.
+The lattice's tables (`kmod_array` and the others) cover every mode, and
+`WavenumberLattice.half` cuts them to the half.  The transforms take the
+half, and a keyword-only `width` for arrays whose columns from `width` on
+are zero, as the 2/3 rule leaves them: the complex passes then skip those
+columns, and every computed column keeps its bytes.  The array-level
+operators (`gradient_batch`, `dealias_coeffs`, `leray_project_coeffs`) take
+any width of the half.
 
 The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
@@ -117,7 +121,18 @@ class WavenumberLattice:
 
     @property
     def shape(self):
+        """The grid, (N, ..., N)."""
         return (self.N,) * self.n
+
+    @property
+    def half_shape(self):
+        """The k_n >= 0 half of the mode lattice that a field holds, (N, ..., N//2 + 1)."""
+        return self.shape[:-1] + (self.N // 2 + 1,)
+
+    def half(self, array: np.ndarray) -> np.ndarray:
+        """A view of the k_n >= 0 half of an array over every mode: a table,
+        a sparse mode grid or a full spectrum."""
+        return array[..., : self.N // 2 + 1]
 
     @property
     def dx(self) -> float:
@@ -139,15 +154,14 @@ def build_lattice(n: int, N: int) -> WavenumberLattice:
 
 @dataclass(frozen=True)
 class SpectralVectorField:
-    """Velocity field stored as full complex Fourier coefficients.
+    """Velocity field stored as the k_n >= 0 half of its Fourier coefficients.
 
-    `coeffs` has shape (n, N, ..., N): component index first, then the FFT
-    grid.  Valid solver states are Hermitian-symmetric (real-valued in
-    physical space), zero-mean and divergence-free.  `dynamics.step` cuts a
-    state to the columns of the k_n >= 0 half that the 2/3 rule keeps
-    (`dynamics.StepWorkspace.kept`), steps them and completes the result
-    back to this full layout (`full_spectrum`), which every step's caller,
-    diagnostics and checkpoints read.
+    `coeffs` has shape (n, N, ..., N//2 + 1): component index first, then
+    the FFT grid with the last axis cut to k_n = 0, ..., N/2.  The modes
+    k_n < 0 are the conjugates of their mirrors, c(-k) = conj(c(k)), since
+    the field is real; on the planes k_n = 0 and k_n = N/2 the half holds
+    both members of each pair, and valid states keep them Hermitian.  Valid
+    solver states are also zero-mean and divergence-free.
     """
 
     lattice: WavenumberLattice
@@ -155,7 +169,7 @@ class SpectralVectorField:
     time: float = 0.0
 
     def __post_init__(self):
-        expected = (self.lattice.n,) + self.lattice.shape
+        expected = (self.lattice.n,) + self.lattice.half_shape
         if self.coeffs.shape != expected:
             raise ValueError(
                 f"coeffs shape {self.coeffs.shape} does not match lattice "
@@ -173,8 +187,7 @@ def grid_to_coeffs(values: np.ndarray, n: int, *, width: int | None = None) -> n
     """Forward real-to-complex transform of grid samples over the trailing n axes.
 
     Returns the first `width` columns of the k_n >= 0 half of the last axis,
-    shape (..., N, ..., width); by default the whole half, width N//2 + 1,
-    which `full_spectrum` completes.
+    shape (..., N, ..., width); by default the whole half, width N//2 + 1.
 
     One real-to-complex pass over the last axis makes the half, which is
     scaled by 1/N^n; its first `width` columns then run through the complex
@@ -194,16 +207,14 @@ def grid_to_coeffs(values: np.ndarray, n: int, *, width: int | None = None) -> n
 
 def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False,
                    width: int | None = None) -> np.ndarray:
-    """Inverse transform to real grid samples over the trailing n axes.
+    """Inverse transform of the k_n >= 0 half to real grid samples over the trailing n axes.
 
-    A complex-to-real transform: the coefficients must be Hermitian,
-    c(-k) = conj(c(k)), and only the k_n >= 0 half of the last axis,
-    `coeffs[..., :N//2 + 1]`, is read.  The full spectrum and that half
-    therefore give identical output.  N is read from the second-to-last
+    A complex-to-real transform of the real field whose modes k_n < 0 are
+    the conjugates of their mirrors.  N is read from the second-to-last
     axis, which is never halved.
 
     The complex passes over the first n - 1 axes run in place on a copy of
-    that half, and one complex-to-real pass over the last axis makes the
+    the half, and one complex-to-real pass over the last axis makes the
     output: the axis order and scaling of `irfftn`, whose output is the
     same to the byte.  `width` declares that the half's columns from
     `width` on hold zeros: the complex passes then run on the first `width`
@@ -214,9 +225,7 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False,
     more may set it.
     """
     N = coeffs.shape[-2]
-    work = coeffs[..., : N // 2 + 1]
-    if not overwrite:
-        work = work.copy()
+    work = coeffs if overwrite else coeffs.copy()
     cols = work[..., :width]
     done = _fft.ifftn(cols, axes=tuple(range(coeffs.ndim - n, coeffs.ndim - 1)),
                       norm="forward", overwrite_x=True)
@@ -226,18 +235,16 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False,
 
 
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian completion of the first columns of a k_n >= 0 half spectrum.
+    """Hermitian completion of a k_n >= 0 half spectrum: the checkpoint file's layout.
 
-    `half` holds the first w <= N//2 + 1 columns of the last axis, over the
-    trailing n axes.  They are copied unchanged, the half's remaining
-    columns up to k_n = N/2 are zeros, and the modes k_n < 0 are filled with
-    conj(c(-k)), so the mirrors of the zeros are 0-0j.
+    `half` holds the N//2 + 1 columns k_n >= 0 of the last axis, over the
+    trailing n axes.  They are copied unchanged, and the modes k_n < 0 are
+    filled with conj(c(-k)), so the mirrors of zeros are 0-0j.
     """
     N = half.shape[-2]
     w = N // 2 + 1
     full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
-    full[..., : half.shape[-1]] = half
-    full[..., half.shape[-1] : w] = 0.0
+    full[..., :w] = half
     # mode -k: index 0 stays 0 and 1..N-1 reverse on each leading axis; the
     # missing last-axis indices w..N-1 mirror N//2 - 1..1
     lead = (slice(None),) * (half.ndim - n)
@@ -298,17 +305,16 @@ def leray_project_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Array-level Leray projection: c <- c - k (k.c)/|k|^2, mode 0 untouched.
 
-    The result goes to `out` when given, which may be `coeffs` itself.
+    Takes the first columns of the k_n >= 0 half.  The result goes to `out`
+    when given, which may be `coeffs` itself.
 
-    Accepts the full spectrum or the first columns of its k_n >= 0 half
-    (last axis at most N//2 + 1).
     Preserves Hermitian symmetry on dealiased fields.  On an undealiased
     field it breaks the symmetry on the Nyquist planes (k_j = -N/2): a mode
     and its partner -k (mod N) share the label -N/2 on that axis, so their
     projectors differ.  On a 2D N=16 field with every mode filled the defect
-    is 0.13 against a largest coefficient of 0.18.  In the half layout the
-    k_n = 0 and k_n = N/2 planes hold both partners, so the defect survives
-    `full_spectrum` there and only there.
+    is 0.13 against a largest coefficient of 0.18.  The half holds both
+    partners on the k_n = 0 and k_n = N/2 planes, where `hermitian_defect`
+    sees the break.
     """
     width = coeffs.shape[-1]
     grids = [g[..., :width] for g in lattice.mode_grids]
@@ -330,12 +336,12 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
 def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np.ndarray:
     """Coefficients of d(u_component)/d(x_axis): multiply by i*k_axis."""
-    return 1j * u.lattice.mode_grids[axis] * u.coeffs[component]
+    return 1j * u.lattice.half(u.lattice.mode_grids[axis]) * u.coeffs[component]
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Zero the 2/3-rule modes of a full spectrum or of the first columns of its half.
+    """Zero the 2/3-rule modes of the first columns of the k_n >= 0 half.
 
     The result goes to `out` when given, which may be `coeffs` itself.
     """
@@ -355,7 +361,7 @@ def vorticity(u: SpectralVectorField) -> np.ndarray:
     vector array, shaped like `u.coeffs`, for n=3.
     """
     lat = u.lattice
-    g = lat.mode_grids
+    g = [lat.half(x) for x in lat.mode_grids]
     c = u.coeffs
     if lat.n == 2:
         return 1j * (g[0] * c[1] - g[1] * c[0])
@@ -366,11 +372,21 @@ def vorticity(u: SpectralVectorField) -> np.ndarray:
     return w
 
 
-# -- invariant helpers (used by tests and the verification suite) --------------
+# -- mode sums and invariant helpers ---------------------------------------------
+
+
+def mode_sum(values: np.ndarray) -> float:
+    """The sum over every mode of a quantity even under k -> -k (|c|^2, or |c|
+    times a weight of |k|) from its k_n >= 0 half: last axis N//2 + 1, N on the
+    one before, leading axes summed too.  Each column 0 < k_n < N/2 stands for
+    itself and its mirror, so the columns weigh 1, 2, ..., 2, 1."""
+    weights = np.full(values.shape[-2] // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(np.sum(values * weights))
 
 
 def hermitian_conjugate(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
-    """conj(c(-k)) with the trailing n axes index-reversed mod N."""
+    """conj(c(-k)) of an array over every mode, the trailing n axes index-reversed mod N."""
     idx = (-np.arange(lattice.N)) % lattice.N  # mode k -> mode -k (mod N)
     lead = coeffs.ndim - lattice.n
     sel = (slice(None),) * lead + np.ix_(*((idx,) * lattice.n))
@@ -378,15 +394,22 @@ def hermitian_conjugate(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.nd
 
 
 def hermitian_defect(u: SpectralVectorField) -> float:
-    """Max |c(k) - conj(c(-k))| over all components and modes."""
-    return float(
-        np.max(np.abs(u.coeffs - hermitian_conjugate(u.lattice, u.coeffs)))
-    )
+    """Max |c(k) - conj(c(-k))| over all components, on the planes k_n = 0 and k_n = N/2.
+
+    These are the only planes where the half holds both members of a +-k
+    pair; it holds every other mode once, and its mirror is its conjugate by
+    definition of the layout.
+    """
+    N = u.lattice.N
+    planes = np.moveaxis(u.coeffs[..., [0, N // 2]], -1, 0)
+    idx = (-np.arange(N)) % N  # mode k -> mode -k (mod N) on the other axes
+    mirror = planes[(slice(None),) * 2 + np.ix_(*((idx,) * (u.lattice.n - 1)))]
+    return float(np.max(np.abs(planes - np.conj(mirror))))
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
     """Max |k . c(k)| relative to the largest coefficient amplitude."""
-    grids = u.lattice.mode_grids
+    grids = [u.lattice.half(g) for g in u.lattice.mode_grids]
     div = sum(grids[j] * u.coeffs[j] for j in range(u.lattice.n))
     scale = float(np.max(np.abs(u.coeffs)))
     if scale == 0.0:

@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from nshd.dynamics import StepWorkspace, dissipation_symbol
+from nshd.dynamics import StepWorkspace, dissipation_symbol, nonlinear_rhs
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
 from nshd.spectral import SpectralVectorField, build_lattice
 
@@ -37,6 +37,14 @@ def rhs_workspace(lattice):
     return StepWorkspace(lattice, lattice.ksq_array)
 
 
+def rhs_half(u):
+    """`nonlinear_rhs` of u on its k_n >= 0 half: the kept columns, then zeros."""
+    work = rhs_workspace(u.lattice)
+    out = np.zeros_like(u.coeffs)
+    nonlinear_rhs(u.coeffs, work, out[..., : work.width])
+    return out
+
+
 def workspace_for(u, cfg):
     """A one-slab step workspace on u's lattice with cfg's dissipation symbol."""
     return StepWorkspace(u.lattice, dissipation_symbol(u.lattice, cfg.alpha, cfg.nu))
@@ -55,7 +63,7 @@ def grid_coords(lattice):
 
 def zero_field(lattice, time=0.0):
     return SpectralVectorField(
-        lattice, np.zeros((lattice.n,) + lattice.shape, dtype=np.complex128), time
+        lattice, np.zeros((lattice.n,) + lattice.half_shape, dtype=np.complex128), time
     )
 
 

@@ -1,15 +1,17 @@
-"""Rewrite the reference files: seeded runs' diagnostics and the verify results.
+"""Rewrite the reference files: seeded runs' diagnostics and summaries, and the verify results.
 
     PYTHONPATH=src python tests/reference/regen.py
 
 Each run in RUNS goes through `harness.run_config` with one FFT worker, and
 its `diagnostics.csv` (every number written by `repr`) is copied here as
-`<name>.csv`.  `verify_results.csv` holds one row per `run_verification()`
-result under each entry of VERIFY_FAULTS: the faults, name, passed,
-`repr(metric)` and detail.  `tests/test_reference.py` and
-`tests/test_verify.py` compare against these files, so a change that moves
-them must say so, with the largest relative change per column, which this
-script prints for every file it rewrites.
+`<name>.csv`.  `run_summaries.csv` holds the SUMMARY_FIELDS of each run's
+`run_summary.json`, one (run, field, value) row per number or status.
+`verify_results.csv` holds one row per `run_verification()` result under
+each entry of VERIFY_FAULTS: the faults, name, passed, `repr(metric)` and
+detail.  `tests/test_reference.py` and `tests/test_verify.py` compare
+against these files, so a change that moves them must say so, with the
+largest relative change per column, which this script prints for every
+file it rewrites.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ RUNS = {
     },
 }
 
+SUMMARY_FILE = "run_summaries.csv"
+# a dict field gives one row per key, named field.key; a None value is written empty
+SUMMARY_FIELDS = ("final_time", "final_step", "final_energy", "initial_energy",
+                  "max_enstrophy", "max_moments", "first_flag_time", "status")
+
 VERIFY_FILE = "verify_results.csv"
 # the `faults` column -> the FaultInjection fields set
 VERIFY_FAULTS = {
@@ -71,12 +78,32 @@ VERIFY_FAULTS = {
 }
 
 
-def run(name: str, out_dir) -> str:
-    """Run RUNS[name] into out_dir on one FFT worker; the path of its diagnostics.csv."""
+def run(name: str, out_dir):
+    """Run RUNS[name] into out_dir on one FFT worker; its `harness.RunRecord`."""
     from nshd.config import parse_config
     from nshd.harness import run_config
 
-    return run_config(parse_config(RUNS[name]), out_dir, fft_workers=1).csv_path
+    return run_config(parse_config(RUNS[name]), out_dir, fft_workers=1)
+
+
+def summary_rows(name: str, record) -> list[dict]:
+    """The SUMMARY_FIELDS of one run's record as {run, field, value} rows, each
+    number by its repr."""
+    rows = []
+    for field in SUMMARY_FIELDS:
+        value = getattr(record, field)
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, v in items:
+            rows.append({"run": name, "field": field if key is None else f"{field}.{key}",
+                         "value": "" if v is None else v if isinstance(v, str) else repr(v)})
+    return rows
+
+
+def write_summaries(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        out = csv.DictWriter(fh, ("run", "field", "value"), lineterminator="\n")
+        out.writeheader()
+        out.writerows(rows)
 
 
 def read_rows(path) -> list[dict]:
@@ -144,10 +171,13 @@ def rewrite(filename: str, write) -> None:
 
 
 def main() -> int:
+    summaries = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in RUNS:
-            rewrite(f"{name}.csv",
-                    lambda path: shutil.copyfile(run(name, os.path.join(tmp, name)), path))
+            record = run(name, os.path.join(tmp, name))
+            summaries += summary_rows(name, record)
+            rewrite(f"{name}.csv", lambda path: shutil.copyfile(record.csv_path, path))
+    rewrite(SUMMARY_FILE, lambda path: write_summaries(path, summaries))
     rewrite(VERIFY_FILE, write_verify_results)
     return 0
 

@@ -40,9 +40,12 @@ def test_layout_by_hand(tmp_path):
     assert (alpha, nu, time, seed) == (1.0, 2.0, 0.0, 7)
     header_size = struct.calcsize("<4sBBIdddQ")
     assert len(raw) == header_size + 2 * 8 * 8 * 16
-    # flat row-major FFT order: coefficient at flat index 9 is mode (1, 1)
+    # flat row-major FFT order over every mode: flat index 9 is mode (1, 1),
+    # and 15 is mode (1, -1), the conjugate of the half's mode (-1, 1)
     re, im = struct.unpack_from("<dd", raw, header_size + 9 * 16)
-    assert re + 1j * im == u.coeffs[0].reshape(-1)[9]
+    assert re + 1j * im == u.coeffs[0][1, 1]
+    re, im = struct.unpack_from("<dd", raw, header_size + 15 * 16)
+    assert re + 1j * im == np.conj(u.coeffs[0][-1, 1]) != 0
 
 
 def test_reject_bad_magic(tmp_path):
@@ -96,6 +99,31 @@ def test_reject_unsupported_lattice_header(tmp_path, field, value):
         read_checkpoint(bad)
 
 
+def test_reject_a_body_that_is_not_the_completion_of_its_half(tmp_path):
+    # a field holds the k_n >= 0 half, so a mode k_n < 0 that is not the
+    # conjugate of its mirror would otherwise be dropped silently
+    u = make_random_field(seed=47, N=8, band=(1, 2))
+    path = tmp_path / "state.nshd"
+    write_checkpoint(path, u, alpha=1.0, nu=1.0)
+    raw = bytearray(path.read_bytes())
+    offset = struct.calcsize("<4sBBIdddQ") + 15 * 16  # component 0, mode (1, -1)
+    re, im = struct.unpack_from("<dd", raw, offset)
+    struct.pack_into("<dd", raw, offset, re, im + 1e-3)
+    bad = tmp_path / "bad.nshd"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="Hermitian"):
+        read_checkpoint(bad)
+
+
+def test_an_all_nan_body_loads(tmp_path):
+    # a diverged run's final state: NaN compares equal to its NaN mirror
+    u = make_random_field(seed=48, N=8, band=(1, 2))
+    path = tmp_path / "state.nshd"
+    write_checkpoint(path, u.with_coeffs(u.coeffs * np.nan), alpha=1.0, nu=1.0)
+    back, _ = read_checkpoint(path)
+    assert back.coeffs.shape == u.coeffs.shape and np.all(np.isnan(back.coeffs))
+
+
 def _header(n, N):
     return struct.pack("<4sBBIdddQ", b"NSHD", 1, n, N, 1.0, 1.0, 0.0, 0)
 
@@ -133,7 +161,7 @@ def test_fuzz_valid_header_with_any_grid_and_body_length(tmp_path_factory, n, N,
         return
     # accepted only when the body is exactly the claimed all-zero lattice
     assert body == n * N**n * 16
-    assert u.coeffs.shape == (n,) + (N,) * n and not u.coeffs.any()
+    assert u.coeffs.shape == (n,) + (N,) * (n - 1) + (N // 2 + 1,) and not u.coeffs.any()
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -30,9 +30,15 @@ from nshd.diagnostics import (
 from nshd import spectral
 from nshd.dynamics import SolverConfig, SolverState, advance, compute_pressure
 from nshd.initial_conditions import taylor_green
-from nshd.spectral import SpectralVectorField, build_lattice, vorticity
+from nshd.spectral import (
+    SpectralVectorField,
+    build_lattice,
+    full_spectrum,
+    mode_sum,
+    vorticity,
+)
 
-from conftest import grid_coords, make_random_field, zero_field
+from conftest import grid_coords, half_of, make_random_field, zero_field
 
 
 # -- scalar diagnostics ----------------------------------------------------------
@@ -77,7 +83,7 @@ def test_moment_one_homogeneous(c, m):
 
 @pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
 def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
-    # the per-component velocity and the pressure moment, written out
+    # the per-component velocity and the pressure moment, written out on the half
     orders = (0.0, 1.0, 2.0, 2.5)
     lat = build_lattice(n, N)
     for u in (make_random_field(n=n, N=N, seed=56, band=(1, 4)), zero_field(lat)):
@@ -86,10 +92,10 @@ def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
         pressure = moment_sums(lat, [p_hat], orders)
         assert len(sums) == n and len(pressure) == 1
         for m in orders:
-            weights = lat.kmod_array ** float(m)
+            weights = half_of(lat.kmod_array) ** float(m)
             for i in range(n):
-                assert sums[i][m] == float(np.sum(weights * np.abs(u.coeffs[i])))
-            assert pressure[0][m] == float(np.sum(weights * np.abs(p_hat)))
+                assert sums[i][m] == mode_sum(weights * np.abs(u.coeffs[i]))
+            assert pressure[0][m] == mode_sum(weights * np.abs(p_hat))
 
 
 def test_enstrophy_taylor_green():
@@ -104,10 +110,11 @@ def test_enstrophy_equals_gradient_norm_for_divergence_free():
         u = make_random_field(n=n, N=N, seed=52, band=(1, 4))
         lat = u.lattice
         grad_sq = 0.5 * lat.volume * float(
-            np.sum(lat.ksq_array * np.sum(np.abs(u.coeffs) ** 2, axis=0))
+            np.sum(lat.ksq_array * np.sum(np.abs(full_spectrum(u.coeffs, n)) ** 2, axis=0))
         )
         assert enstrophy(u) == pytest.approx(grad_sq, rel=1e-12)
-        half_omega_sq = 0.5 * lat.volume * float(np.sum(np.abs(vorticity(u)) ** 2))
+        omega = full_spectrum(vorticity(u), n)
+        half_omega_sq = 0.5 * lat.volume * float(np.sum(np.abs(omega) ** 2))
         assert enstrophy(u) == pytest.approx(half_omega_sq, rel=1e-14)
 
 
@@ -160,6 +167,47 @@ def test_sobolev_norm_values():
                                                   rel=1e-13)
     # single shell (1 + |k|^2) = 3
     assert sobolev_norm(tg, 1.0) == pytest.approx(math.sqrt(6) * np.pi, rel=1e-13)
+
+
+@given(grid=st.sampled_from([(2, 8), (2, 10), (2, 16), (2, 24), (3, 8), (3, 12)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_sums_weigh_each_column_by_its_multiplicity(grid, seed):
+    # the transform of a random real grid fills every mode, the k_n = N/2
+    # column too, which the seeded runs' bands never reach; each sum over the
+    # half equals its formula over every mode of the completed spectrum
+    n, N = grid
+    lat = build_lattice(n, N)
+    x = np.random.default_rng(seed).standard_normal((n,) + lat.shape)
+    u = SpectralVectorField(lat, spectral.grid_to_coeffs(x, n))
+    full = full_spectrum(u.coeffs, n)
+    per_mode = np.sum(np.abs(full) ** 2, axis=0)
+    alpha, nu, orders, betas = 1.25, 0.7, (0.0, 1.0, 2.5), (0.0, 1.0, 2.5)
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    close(energy(u), 0.5 * lat.volume * float(np.sum(np.abs(full) ** 2)))
+    close(dissipation_rate(u, alpha, nu),
+          lat.volume * float(np.sum(nu * lat.kmod_array ** (2 * alpha) * per_mode)))
+    close(enstrophy(u), 0.5 * lat.volume * float(np.sum(lat.ksq_array * per_mode)))
+    for beta in betas:
+        close(sobolev_norm(u, beta), math.sqrt(
+            lat.volume * float(np.sum((1.0 + lat.ksq_array) ** beta * per_mode))))
+    for i, sums in enumerate(moment_sums(lat, u.coeffs, orders)):
+        for m in orders:
+            close(sums[m], float(np.sum(lat.kmod_array ** m * np.abs(full[i]))))
+    shell = lat.dealias_mask_array & (lat.kmax_array >= N / 3.0 - 1.0)
+    close(tail_fraction(u), float(np.sum(per_mode[shell])) / float(np.sum(per_mode)))
+    # Parseval: the half's mode sum, the full spectrum's and the grid quadrature
+    close(lat.volume * mode_sum(np.abs(u.coeffs) ** 2), lat.cell_volume * float(np.sum(x**2)))
+
+    # only the planes k_n = 0 and k_n = N/2 hold both members of a pair
+    scale = float(np.max(np.abs(u.coeffs)))
+    assert spectral.hermitian_defect(u) <= 1e-14 * scale  # the transform's round-off
+    for plane in (0, N // 2):
+        tampered = u.coeffs.copy()
+        tampered[(0, 1) + (0,) * (n - 2) + (plane,)] += 0.5 * scale
+        assert spectral.hermitian_defect(u.with_coeffs(tampered)) >= 0.5 * scale * (1 - 1e-12)
 
 
 # -- moment-inequality monitor -----------------------------------------------------
@@ -298,7 +346,7 @@ def test_tail_fraction_and_flags():
     coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
     coeffs[0][10, 0] = 1.0   # |k| = 10 in [9.67, 10.67)
     coeffs[0][-10, 0] = 1.0
-    hot = SpectralVectorField(lat, coeffs)
+    hot = SpectralVectorField(lat, half_of(coeffs))
     assert tail_fraction(hot) == pytest.approx(1.0)
     rec = compute_diagnostics(hot, cfg)
     assert rec.flags == ("resolution_loss",)
@@ -315,8 +363,9 @@ def test_tail_fraction_is_the_last_shell_the_dealias_mask_keeps():
     lat = build_lattice(3, 32)
     x, y, _ = grid_coords(lat)
     grid = np.stack([np.zeros_like(x), np.zeros_like(x), np.cos(10 * x + 10 * y)])
-    u = SpectralVectorField(lat, spectral.full_spectrum(spectral.grid_to_coeffs(grid, 3), 3))
-    assert np.max(np.abs(u.coeffs[:, ~lat.dealias_mask_array])) < 1e-15  # round-off only
+    u = SpectralVectorField(lat, spectral.grid_to_coeffs(grid, 3))
+    dead = ~half_of(lat.dealias_mask_array)
+    assert np.max(np.abs(u.coeffs[:, dead])) < 1e-15  # round-off only
     assert tail_fraction(u) == pytest.approx(1.0, rel=1e-12)
     cfg = SolverConfig(n=3, N=32, alpha=1.25, nu=1.0, t_end=1.0)
     assert compute_diagnostics(u, cfg).flags == ("resolution_loss",)

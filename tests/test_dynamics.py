@@ -44,6 +44,7 @@ from conftest import (
     half_of,
     make_random_field,
     mean_mode,
+    rhs_half,
     rhs_workspace,
     workspace_for,
     zero_field,
@@ -54,15 +55,17 @@ from conftest import (
 
 
 def convection_oracle(u):
-    """Brute-force spectral convolution of (u.grad)u over active modes.
+    """Brute-force spectral convolution of (u.grad)u over active modes, on
+    the full spectrum.
 
     conv_i(k) = sum_{k'} u_j(k') * i (k - k')_j * u_i(k - k'), computed by
     explicit looping; independent of the pseudo-spectral transform path.
     """
     lat = u.lattice
     N, n = lat.N, lat.n
-    active = list(zip(*np.nonzero(np.abs(u.coeffs).sum(axis=0))))
-    out = np.zeros_like(u.coeffs)
+    c = full_spectrum(u.coeffs, n)
+    active = list(zip(*np.nonzero(np.abs(c).sum(axis=0))))
+    out = np.zeros_like(c)
     for idx_p in active:
         kp = tuple(int(lat.modes_1d[j]) for j in idx_p)
         for idx_pp in active:
@@ -71,7 +74,7 @@ def convection_oracle(u):
                            zip(np.array(kp) % N, np.array(kpp) % N))
             for i in range(n):
                 contrib = sum(
-                    u.coeffs[j][idx_p] * 1j * kpp[j] * u.coeffs[i][idx_pp]
+                    c[j][idx_p] * 1j * kpp[j] * c[i][idx_pp]
                     for j in range(n)
                 )
                 out[(i,) + target] += contrib
@@ -79,7 +82,7 @@ def convection_oracle(u):
 
 
 def test_nonlinear_term_zero_field(lattice_2d):
-    out = full_spectrum(nonlinear_rhs(zero_field(lattice_2d).coeffs, rhs_workspace(lattice_2d)), 2)
+    out = nonlinear_rhs(zero_field(lattice_2d).coeffs, rhs_workspace(lattice_2d))
     assert np.all(out == 0)
 
 
@@ -105,7 +108,7 @@ def test_nonlinear_single_mode_is_exact_solution():
     coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
     coeffs[0][0, 3] = 0.4
     coeffs[0][0, -3] = 0.4  # u = (0.8 cos 3y, 0): k = (0,3) with polarization x
-    u = SpectralVectorField(lat, coeffs)
+    u = SpectralVectorField(lat, half_of(coeffs))
     oracle = convection_oracle(u)
     assert np.max(np.abs(oracle)) < 1e-15
     assert np.max(np.abs(nonlinear_rhs(u.coeffs, rhs_workspace(lat)))) < 1e-15
@@ -127,22 +130,22 @@ def test_nonlinear_term_matches_convolution_oracle():
         coeffs[i][-1, -2] = np.conj(ca[i])
         coeffs[i][2, 0] = cb[i]
         coeffs[i][-2, 0] = np.conj(cb[i])
-    u = SpectralVectorField(lat, coeffs)
+    u = SpectralVectorField(lat, half_of(coeffs))
 
     from nshd.spectral import dealias_coeffs, leray_project_coeffs
 
     conv = convection_oracle(u)
     expected = -leray_project_coeffs(lat, dealias_coeffs(lat, conv))
     expected[(slice(None), 0, 0)] = 0.0
-    got = full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(lat)), 2)
+    got = full_spectrum(rhs_half(u), 2)
     np.testing.assert_allclose(got, expected, atol=1e-14)
     # interaction mode k_a + k_b = (3,2) must be populated after projection
     assert abs(got[0][3, 2]) > 1e-4
 
 
-def full_spectrum_reference(u):
-    """RHS, pressure and enstrophy production from full complex transforms."""
-    lat, c = u.lattice, u.coeffs
+def full_spectrum_reference(lat, c):
+    """RHS, pressure and enstrophy production from full complex transforms of
+    the full spectrum c."""
     n, g = lat.n, lat.mode_grids
     axes = tuple(range(1, n + 1))
     inv = lambda b: scipy.fft.ifftn(b, axes=axes, norm="forward").real
@@ -158,7 +161,7 @@ def full_spectrum_reference(u):
     p = dealias_coeffs(lat, trace_hat) / ksq
     production = 0.0
     if n == 3:
-        w = inv(vorticity(u))
+        w = inv(full_spectrum(vorticity(SpectralVectorField(lat, half_of(c))), n))
         production = lat.cell_volume * float(
             np.sum(np.einsum("i...,ji...,j...->...", w, d, w)))
     return rhs, p, production
@@ -167,10 +170,10 @@ def full_spectrum_reference(u):
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
     u = make_random_field(n=n, N=N, seed=38, band=(1, 5))
-    rhs, p, production = full_spectrum_reference(u)
-    got_rhs = full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(u.lattice)), n)
+    rhs, p, production = full_spectrum_reference(u.lattice, full_spectrum(u.coeffs, n))
+    got_rhs = full_spectrum(rhs_half(u), n)
     assert np.max(np.abs(got_rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
-    got_p = compute_pressure(u)
+    got_p = full_spectrum(compute_pressure(u), n)
     assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
     assert enstrophy_production(u) == pytest.approx(production, rel=1e-13, abs=0)
 
@@ -179,7 +182,7 @@ def test_rhs_pressure_production_match_full_spectrum_reference(n, N):
 @settings(max_examples=10)
 def test_nonlinear_term_invariants(seed):
     u = make_random_field(seed=seed, N=16, band=(1, 3))
-    out = u.with_coeffs(full_spectrum(nonlinear_rhs(u.coeffs, rhs_workspace(u.lattice)), 2))
+    out = u.with_coeffs(rhs_half(u))
     assert divergence_defect(out) <= 1e-12
     assert hermitian_defect(out) <= 1e-12
     assert np.all(mean_mode(out) == 0)
@@ -195,7 +198,8 @@ def test_pressure_zero_field(lattice_2d):
 def test_pressure_taylor_green():
     # Tr(grad u)^2 = cos 2x + cos 2y; -lap p = that, so p = (cos 2x + cos 2y)/4
     lat = build_lattice(2, 32)
-    p = compute_pressure(taylor_green(lat, 1.0))
+    p_half = compute_pressure(taylor_green(lat, 1.0))
+    p = full_spectrum(p_half, 2)
     expected = {(2, 0): 0.125, (-2, 0): 0.125, (0, 2): 0.125, (0, -2): 0.125}
     for (k1, k2), val in expected.items():
         assert p[k1 % 32, k2 % 32] == pytest.approx(val, abs=1e-14)
@@ -205,7 +209,7 @@ def test_pressure_taylor_green():
     assert np.max(np.abs(p[mask])) < 1e-14
     # momentum check: (u.grad)u + grad p = 0 for the exact vortex
     x = grid_coords(lat)
-    p_grid = coeffs_to_grid(p, 2)
+    p_grid = coeffs_to_grid(p_half, 2)
     np.testing.assert_allclose(
         p_grid, (np.cos(2 * x[0]) + np.cos(2 * x[1])) / 4.0, atol=1e-13
     )
@@ -218,13 +222,13 @@ def test_pressure_poisson_consistency():
     p = compute_pressure(u)
     from nshd.spectral import dealias_coeffs, grid_to_coeffs
 
-    grids = lat.mode_grids
+    grids = [lat.half(g) for g in lat.mode_grids]
     batch = np.stack([1j * grids[i] * u.coeffs[j]
                       for i in range(2) for j in range(2)])
     d = coeffs_to_grid(batch, 2).reshape((2, 2) + lat.shape)
     trace = np.einsum("ij...,ji...->...", d, d)
-    g_hat = full_spectrum(dealias_coeffs(lat, grid_to_coeffs(trace, 2)), 2)
-    residual = lat.ksq_array * p - g_hat
+    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, 2))
+    residual = half_of(lat.ksq_array) * p - g_hat
     residual[(0,) * lat.n] = 0.0  # mean of p is gauge, mean of g is dropped
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, np.max(np.abs(g_hat)))
 
@@ -237,7 +241,7 @@ def test_pressure_shear_flow_is_zero():
     coeffs[0][0, -1] = 0.5 + 0.2j
     coeffs[0][0, 3] = 0.1j
     coeffs[0][0, -3] = -0.1j
-    p = compute_pressure(SpectralVectorField(lat, coeffs))
+    p = compute_pressure(SpectralVectorField(lat, half_of(coeffs)))
     assert np.max(np.abs(p)) < 1e-15
 
 
@@ -264,18 +268,18 @@ def test_step_exact_decay_single_mode():
     for i, sgn in ((0, 1.0), (1, -1.0)):
         coeffs[i][1, 1] = sgn * a
         coeffs[i][-1, -1] = sgn * a
+    coeffs = half_of(coeffs)
     symbol = dissipation_symbol(lat, 1.0, 1.0)
     out = if_rk4_step(coeffs, 0.1, symbol, lambda c, tendency: tendency.fill(0.0))
     np.testing.assert_allclose(out, coeffs * np.exp(-0.2), rtol=1e-14, atol=0)
 
 
-def full_spectrum_step(u, dt, symbol):
-    """One IF-RK4 step and cleanup on the full spectrum, RHS from fftn/ifftn."""
-    lat = u.lattice
-    rhs = lambda c: full_spectrum_reference(SpectralVectorField(lat, c))[0]
+def full_spectrum_step(lat, c0, dt, symbol):
+    """One IF-RK4 step and cleanup on the full spectrum c0 with the full-width
+    symbol, RHS from fftn/ifftn."""
+    rhs = lambda c: full_spectrum_reference(lat, c)[0]
     e_half = np.exp(-0.5 * dt * symbol)
     e_full = e_half * e_half
-    c0 = u.coeffs
     a = rhs(c0)
     b = rhs(e_half * (c0 + 0.5 * dt * a))
     c = rhs(e_half * c0 + 0.5 * dt * b)
@@ -283,7 +287,7 @@ def full_spectrum_step(u, dt, symbol):
     new = e_full * c0 + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
     new = leray_project_coeffs(lat, dealias_coeffs(lat, new))
     new[(slice(None),) + (0,) * lat.n] = 0.0
-    return u.with_coeffs(new, time=u.time + dt)
+    return new
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
@@ -291,20 +295,21 @@ def test_half_spectrum_step_matches_full_spectrum_reference(n, N):
     u0 = make_random_field(n=n, N=N, seed=39, band=(1, 5))
     cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=5e-3, dt_max=1e-3,
                        diag_stride=10**9)
-    symbol = dissipation_symbol(u0.lattice, cfg.alpha, cfg.nu)
-    ref = [u0]
+    lat = u0.lattice
+    symbol = cfg.nu * lat.kmod_array ** (2.0 * cfg.alpha)
+    ref = [full_spectrum(u0.coeffs, n)]
     for _ in range(5):
-        ref.append(full_spectrum_step(ref[-1], 1e-3, symbol))
+        ref.append(full_spectrum_step(lat, ref[-1], 1e-3, symbol))
 
     def rel_err(got, want):
-        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+        return np.max(np.abs(full_spectrum(got, n) - want)) / np.max(np.abs(want))
 
-    one = step(SolverState(u=u0), 1e-3, StepWorkspace(u0.lattice, symbol))  # a full-width symbol
+    one = step(SolverState(u=u0), 1e-3, StepWorkspace(lat, symbol))  # a full-width symbol
     assert one.u.coeffs.shape == u0.coeffs.shape
-    assert rel_err(one.u.coeffs, ref[1].coeffs) <= 1e-13
+    assert rel_err(one.u.coeffs, ref[1]) <= 1e-13
     final = advance(SolverState(u=u0), cfg)
     assert final.step_count == 5
-    assert rel_err(final.u.coeffs, ref[-1].coeffs) <= 1e-13
+    assert rel_err(final.u.coeffs, ref[-1]) <= 1e-13
 
 
 def test_step_zero_field_stays_zero(lattice_2d):
@@ -355,7 +360,7 @@ def test_step_diverged_error():
     coeffs[0][1, 0] = np.inf
     coeffs[0][-1, 0] = np.inf
     cfg = SolverConfig(n=2, N=16, alpha=1.0, t_end=1.0)
-    state = SolverState(u=SpectralVectorField(lat, coeffs, time=0.5), step_count=7)
+    state = SolverState(u=SpectralVectorField(lat, half_of(coeffs), time=0.5), step_count=7)
     with pytest.raises(Diverged) as err:
         step(state, 0.1, workspace_for(state.u, cfg))
     assert err.value.t == pytest.approx(0.6)
@@ -393,7 +398,7 @@ def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
     lat = u.lattice
     cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.3, t_end=1.0)
     work = workspace_for(u, cfg)
-    w, half = work.width, half_of(u.coeffs)
+    w, half = work.width, u.coeffs
     assert w == math.ceil(N / 3) < N // 2 + 1
     coeffs = work.kept(u.coeffs)
     rhs = nonlinear_rhs(coeffs, work, work.stages[0])
@@ -402,7 +407,7 @@ def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
     assert np.all(want_rhs[..., w:] == 0)
     got = if_rk4_step(coeffs, 2e-3, work.symbol,
                       lambda c, out: nonlinear_rhs(c, work, out), work.stages)
-    want = reference_if_rk4_step(half, 2e-3, half_of(dissipation_symbol(lat, cfg.alpha, cfg.nu)),
+    want = reference_if_rk4_step(half, 2e-3, dissipation_symbol(lat, cfg.alpha, cfg.nu),
                                  lambda c: reference_rhs(lat, c))
     assert got.tobytes() == np.ascontiguousarray(want[..., :w]).tobytes()
     assert np.all(want[..., w:] == 0)
@@ -471,7 +476,7 @@ def test_a_step_never_drops_a_nonzero_mode():
     lat = build_lattice(2, 32)
     coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
     coeffs[0][0, 11] = coeffs[0][0, -11] = 0.1  # u = (0.2 cos 11y, 0)
-    u = SpectralVectorField(lat, coeffs)
+    u = SpectralVectorField(lat, half_of(coeffs))
     cfg = SolverConfig(n=2, N=32, alpha=1.0, t_end=1.0)
     with pytest.raises(ValueError, match="k_n >= 11"):
         step(SolverState(u=u), 1e-3, workspace_for(u, cfg))
@@ -481,14 +486,14 @@ def test_a_step_never_drops_a_nonzero_mode():
         _evolve(u, 1.0, 0.5, 0.02, 0.01, FaultInjection())
     # verify's dealias_off workspace keeps every column, so it drops nothing
     off = StepWorkspace(*_faulty_inputs(lat, 1.0, 0.5, FaultInjection(dealias_off=True)))
-    assert off.kept(coeffs).tobytes() == half_of(coeffs).tobytes()
+    assert off.kept(u.coeffs).tobytes() == u.coeffs.tobytes()
     # initial fields up to the largest band a config accepts, their steps and
     # their zooms keep every mode
     work = workspace_for(u, cfg)
     for field in (make_random_field(seed=54, band=(1, 4)), make_random_field(seed=55, band=(1, 10)),
                   apply_discrete_rescale(make_random_field(seed=56, band=(1, 5)), 2, 1.0)):
         state = step(SolverState(u=field), 1e-3, work)
-        assert np.all(work.kept(field.coeffs) == half_of(field.coeffs)[..., : work.width])
+        assert np.all(work.kept(field.coeffs) == field.coeffs[..., : work.width])
         work.kept(state.u.coeffs)
 
 
@@ -536,7 +541,7 @@ def test_timestep_convergence_is_fourth_order():
 
 def test_cfl_formula():
     lat = build_lattice(2, 64)
-    coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + lat.half_shape, dtype=np.complex128)
     coeffs[0][0, 0] = 0.0
     u = SpectralVectorField(lat, coeffs)
     cfg = SolverConfig(n=2, N=64, alpha=1.0, t_end=1.0, cfl_safety=0.5, dt_max=10.0)
@@ -551,7 +556,7 @@ def test_cfl_formula():
     cfg128 = SolverConfig(n=2, N=128, alpha=1.0, t_end=1.0, cfl_safety=0.5,
                           dt_max=10.0)
     lat128 = build_lattice(2, 128)
-    c128 = np.zeros((2,) + lat128.shape, dtype=np.complex128)
+    c128 = np.zeros((2,) + lat128.half_shape, dtype=np.complex128)
     c128[0][1, 0] = 0.5
     c128[0][-1, 0] = 0.5
     u128 = SpectralVectorField(lat128, c128)

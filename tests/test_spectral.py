@@ -103,7 +103,7 @@ def test_taylor_green_spectrum_from_grid():
             active[s1 % 16, s2 % 16] = True
     assert np.max(np.abs(c1[~active])) < 1e-12
     # matches the exact spectral constructor
-    np.testing.assert_allclose(coeffs, taylor_green(lat, 1.0).coeffs, atol=1e-14)
+    np.testing.assert_allclose(half_of(coeffs), taylor_green(lat, 1.0).coeffs, atol=1e-14)
 
 
 def test_transform_zero_field(lattice_2d):
@@ -113,7 +113,7 @@ def test_transform_zero_field(lattice_2d):
 
 def test_round_trip_identity():
     u = make_random_field(seed=21)
-    back = full_spectrum(grid_to_coeffs(coeffs_to_grid(u.coeffs, 2), 2), 2)
+    back = grid_to_coeffs(coeffs_to_grid(u.coeffs, 2), 2)
     np.testing.assert_allclose(back, u.coeffs, rtol=0, atol=1e-12)
 
 
@@ -122,13 +122,14 @@ def test_parseval(seed):
     u = make_random_field(seed=seed, band=(1, 6))
     phys = coeffs_to_grid(u.coeffs, 2)
     quadrature = u.lattice.cell_volume * float(np.sum(phys**2))
-    mode_sum = u.lattice.volume * float(np.sum(np.abs(u.coeffs) ** 2))
+    mode_sum = u.lattice.volume * float(np.sum(np.abs(full_spectrum(u.coeffs, 2)) ** 2))
     assert quadrature == pytest.approx(mode_sum, rel=1e-10)
 
 
 def _transform_batch(u):
     """Velocity components and derivatives of odd and even order."""
-    g, c = u.lattice.mode_grids, u.coeffs
+    c = u.coeffs
+    g = [u.lattice.half(x) for x in u.lattice.mode_grids]
     return np.stack([
         c[0],
         1j * g[0] * c[1],
@@ -146,22 +147,20 @@ def assert_same_bytes(got, want):
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 def test_coeffs_to_grid_reads_only_the_half_spectrum(n, N):
     # byte-equal to scipy's irfftn of the k_n >= 0 half, for a batched and a
-    # bare array of full or half width, with the input copied (default) or
-    # consumed (overwrite=True); row 0 of a batch equals the bare transform
+    # bare array, with the input copied (default) or consumed
+    # (overwrite=True); row 0 of a batch equals the bare transform
     batched = _transform_batch(make_random_field(n=n, N=N, seed=22, band=(1, 4)))
     assert_same_bytes(coeffs_to_grid(batched[0], n), coeffs_to_grid(batched, n)[0])
     assert_same_bytes(coeffs_to_grid(batched[0].copy(), n, overwrite=True),
                       coeffs_to_grid(batched.copy(), n, overwrite=True)[0])
-    for full in (batched, batched[0]):
-        for coeffs in (full, half_of(full)):
-            axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
-            want = scipy.fft.irfftn(coeffs[..., : N // 2 + 1], s=(N,) * n, axes=axes,
-                                    norm="forward")
-            scratch = coeffs.copy()
-            assert_same_bytes(coeffs_to_grid(coeffs, n), want)
-            assert_same_bytes(coeffs, scratch)  # the default path leaves its input alone
-            assert_same_bytes(coeffs_to_grid(scratch, n, overwrite=True), want)
-            assert not np.array_equal(scratch, coeffs)  # the complex passes ran in it
+    for coeffs in (batched, batched[0]):
+        axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
+        want = scipy.fft.irfftn(coeffs, s=(N,) * n, axes=axes, norm="forward")
+        scratch = coeffs.copy()
+        assert_same_bytes(coeffs_to_grid(coeffs, n), want)
+        assert_same_bytes(coeffs, scratch)  # the default path leaves its input alone
+        assert_same_bytes(coeffs_to_grid(scratch, n, overwrite=True), want)
+        assert not np.array_equal(scratch, coeffs)  # the complex passes ran in it
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
@@ -171,7 +170,8 @@ def test_coeffs_to_grid_matches_complex_inverse(n, N, seed):
     # on Hermitian band-limited input the complex-to-real transform agrees
     # with the full complex inverse transform, odd derivatives included
     batch = _transform_batch(make_random_field(n=n, N=N, seed=seed, band=(1, 4)))
-    want = scipy.fft.ifftn(batch, axes=tuple(range(1, n + 1)), norm="forward").real
+    want = scipy.fft.ifftn(full_spectrum(batch, n), axes=tuple(range(1, n + 1)),
+                           norm="forward").real
     got = coeffs_to_grid(batch, n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -205,20 +205,28 @@ def test_transforms_on_the_kept_columns_equal_the_full_width_ones(n, N, workers)
 # -- half-spectrum layout ---------------------------------------------------------
 
 
+def test_a_field_holds_the_half_and_nothing_else():
+    lat = build_lattice(2, 16)
+    assert SpectralVectorField(lat, np.zeros((2, 16, 9), dtype=np.complex128)).coeffs.shape \
+        == (2,) + lat.half_shape
+    for shape in ((2,) + lat.shape, (2, 16, 8), (3, 16, 9)):  # full, short, a component too many
+        with pytest.raises(ValueError, match="does not match"):
+            SpectralVectorField(lat, np.zeros(shape, dtype=np.complex128))
+
+
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=10)
 def test_full_spectrum_inverts_half_spectrum(n, N, seed):
-    c = make_random_field(n=n, N=N, seed=seed, band=(1, 4)).coeffs
-    half = half_of(c)
+    half = make_random_field(n=n, N=N, seed=seed, band=(1, 4)).coeffs
     assert half.shape == (n,) + (N,) * (n - 1) + (N // 2 + 1,)
     assert half.flags.c_contiguous
-    np.testing.assert_array_equal(full_spectrum(half, n), c)
-    # from the first columns only: the rest of the half are +0, their mirrors 0-0j
-    kept = full_spectrum(half[..., :5], n)
-    np.testing.assert_array_equal(kept, c)
-    assert kept[..., 5 : N // 2 + 1].tobytes() == bytes(kept[..., 5 : N // 2 + 1].nbytes)
-    mirrors = kept[..., N // 2 + 1 : N - 4]
+    full = full_spectrum(half, n)
+    np.testing.assert_array_equal(half_of(full), half)
+    np.testing.assert_array_equal(hermitian_conjugate(build_lattice(n, N), full), full)
+    # zero columns, as a step leaves past the 2/3 rule, have 0-0j mirrors
+    half[..., 5:] = 0.0
+    mirrors = full_spectrum(half, n)[..., N // 2 + 1 : N - 4]
     assert mirrors.real.tobytes() == bytes(mirrors.real.nbytes)
     assert np.all(np.signbit(mirrors.imag))
 
@@ -259,7 +267,7 @@ def test_leray_annihilates_gradients(lattice_2d):
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(lattice_2d.shape) + 1j * rng.standard_normal(lattice_2d.shape)
     grids = lattice_2d.mode_grids
-    coeffs = np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128)
+    coeffs = half_of(np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128))
     out = leray_project(SpectralVectorField(lattice_2d, coeffs))
     assert np.max(np.abs(out.coeffs)) < 1e-12 * np.max(np.abs(coeffs))
 
@@ -278,7 +286,7 @@ def test_leray_single_mode_by_hand(lattice_2d):
     coeffs[1][1, 0] = b
     coeffs[0][-1, 0] = np.conj(a)
     coeffs[1][-1, 0] = np.conj(b)
-    out = leray_project(SpectralVectorField(lattice_2d, coeffs))
+    out = leray_project(SpectralVectorField(lattice_2d, half_of(coeffs)))
     assert out.coeffs[0][1, 0] == pytest.approx(0.0, abs=1e-15)
     assert out.coeffs[1][1, 0] == pytest.approx(b, abs=1e-15)
 
@@ -295,7 +303,7 @@ def test_leray_idempotent_and_divergence_free(seed):
 
 def test_leray_keeps_mode_zero():
     lat = build_lattice(2, 16)
-    coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + lat.half_shape, dtype=np.complex128)
     coeffs[0][0, 0] = 1.0  # constant background
     out = leray_project(SpectralVectorField(lat, coeffs))
     assert out.coeffs[0][0, 0] == 1.0
@@ -310,7 +318,7 @@ def test_derivative_sine_by_hand():
     coeffs = np.zeros((2,) + lat.shape, dtype=np.complex128)
     coeffs[0][1, 0] = -0.5j
     coeffs[0][-1, 0] = 0.5j
-    u = SpectralVectorField(lat, coeffs)
+    u = SpectralVectorField(lat, half_of(coeffs))
     d = spectral_derivative(u, 0, 0)
     assert d[1, 0] == pytest.approx(0.5, abs=1e-15)
     assert d[-1, 0] == pytest.approx(0.5, abs=1e-15)
@@ -318,7 +326,7 @@ def test_derivative_sine_by_hand():
 
 
 def test_derivative_of_constant_is_zero(lattice_2d):
-    coeffs = np.zeros((2,) + lattice_2d.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + lattice_2d.half_shape, dtype=np.complex128)
     coeffs[:, 0, 0] = 2.0
     u = SpectralVectorField(lattice_2d, coeffs)
     assert np.max(np.abs(spectral_derivative(u, 0, 0))) == 0.0
@@ -367,7 +375,7 @@ def test_dealias_trivial_cases(lattice_2d):
 
 def test_dealias_idempotent(lattice_2d):
     full = SpectralVectorField(
-        lattice_2d, np.ones((2,) + lattice_2d.shape, dtype=np.complex128)
+        lattice_2d, np.ones((2,) + lattice_2d.half_shape, dtype=np.complex128)
     )
     once = dealias(full)
     np.testing.assert_array_equal(dealias(once).coeffs, once.coeffs)
@@ -382,7 +390,7 @@ def test_vorticity_taylor_green():
     w = vorticity(taylor_green(lat, 1.0))
     for s1 in (1, -1):
         for s2 in (1, -1):
-            assert abs(w[s1 % 16, s2 % 16]) == pytest.approx(0.5, abs=1e-13)
+            assert abs(full_spectrum(w, 2)[s1 % 16, s2 % 16]) == pytest.approx(0.5, abs=1e-13)
     from nshd.spectral import coeffs_to_grid
 
     x = grid_coords(lat)
@@ -395,13 +403,13 @@ def test_vorticity_of_gradient_is_zero(lattice_2d):
     rng = np.random.default_rng(6)
     phi = rng.standard_normal(lattice_2d.shape) + 1j * rng.standard_normal(lattice_2d.shape)
     grids = lattice_2d.mode_grids
-    coeffs = 1j * np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128)
+    coeffs = half_of(1j * np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128))
     w = vorticity(SpectralVectorField(lattice_2d, coeffs))
     assert np.max(np.abs(w)) < 1e-12 * np.max(np.abs(coeffs))
 
 
 def test_vorticity_constant_field_zero(lattice_2d):
-    coeffs = np.zeros((2,) + lattice_2d.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + lattice_2d.half_shape, dtype=np.complex128)
     coeffs[:, 0, 0] = 3.0
     assert np.max(np.abs(vorticity(SpectralVectorField(lattice_2d, coeffs)))) == 0.0
 
