@@ -122,12 +122,12 @@ def tail_fraction(u: SpectralVectorField) -> float:
     table the solver cuts with.
     """
     lat = u.lattice
-    shell = lat.dealias_mask_array & (lat.kmax_array >= lat.N / 3.0 - 1.0)
+    shell = lat.half(lat.dealias_mask_array) & (lat.half(lat.kmax_array) >= lat.N / 3.0 - 1.0)
     per_mode = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     total = mode_sum(per_mode)
     if total == 0.0:
         return 0.0
-    return mode_sum(np.where(lat.half(shell), per_mode, 0.0)) / total
+    return mode_sum(np.where(shell, per_mode, 0.0)) / total
 
 
 # -- the moment-inequality monitor ---------------------------------------------

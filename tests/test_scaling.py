@@ -33,6 +33,7 @@ from nshd.spectral import (
     hermitian_defect,
     zoom_cut,
 )
+from nshd.verify import _gaussian_moment_quadrature
 
 from conftest import half_of, make_random_field, zero_field
 
@@ -224,11 +225,15 @@ def test_scaled_energy_ratio_rejects_zero_field():
 
 
 def quadrature_moment(n, ell, sigma):
-    """Adaptive radial quadrature oracle for the Gaussian moment integral."""
+    """Adaptive radial quadrature oracle for the Gaussian moment integral.
+
+    It runs to a relative tolerance alone: quad's default absolute tolerance
+    stops early on the small moments of sigma = 4, 4.4e-13 off the closed form.
+    """
     sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     val, err = scipy.integrate.quad(
         lambda r: r ** (ell + n - 1) * math.exp(-0.5 * (sigma * r) ** 2),
-        0.0, np.inf,
+        0.0, np.inf, epsabs=0.0,
     )
     return sigma ** (n / 2.0) * sphere * val
 
@@ -242,11 +247,15 @@ def test_gaussian_moment_known_values():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("ell", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
 def test_gaussian_moment_matches_quadrature(n, ell, sigma):
     closed = gaussian_moment(n, ell, sigma)
     quad = quadrature_moment(n, ell, sigma)
     assert closed == pytest.approx(quad, rel=1e-10)
+    # verify's exp-sinh rule agrees with the adaptive oracle, and halving its step moves nothing
+    rule = _gaussian_moment_quadrature(n, ell, sigma)
+    assert rule == pytest.approx(quad, rel=1e-13, abs=0.0)
+    assert abs(_gaussian_moment_quadrature(n, ell, sigma, h=2.0**-6) - rule) <= 1e-14 * rule
 
 
 def test_gaussian_moment_validation():

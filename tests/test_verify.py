@@ -131,3 +131,14 @@ def test_check_returns_metric_and_threshold_under_its_key(monkeypatch):
                        + run_verification(name_filter="rng_determinism"))
     assert results["parseval"] == PropertyResult("parseval", False, 2.0, 1.0, "why")
     assert results["rng_determinism"] == PropertyResult("rng_determinism", True, 0.5, 0.5)
+
+
+def test_gaussian_check_catches_a_closed_form_off_by_1e_9(monkeypatch):
+    import nshd.verify as v
+
+    closed = v.gaussian_moment
+    monkeypatch.setattr(v, "gaussian_moment",
+                        lambda n, ell, sigma: closed(n, ell, sigma) * (1.0 + 1e-9))
+    (result,) = run_verification(name_filter="gaussian_closed_form_vs_quadrature")
+    assert not result.passed
+    assert math.isclose(result.metric, 1e-9, rel_tol=1e-3)
