@@ -79,9 +79,9 @@ def write_checkpoint(path, u: SpectralVectorField, alpha: float, nu: float,
 def read_checkpoint(path):
     """Read a checkpoint; returns (SpectralVectorField, CheckpointMeta).
 
-    The body's modes k_n < 0 must equal the `full_spectrum` completion of its
-    k_n >= 0 half by value, NaN equal to NaN, so that no mode is dropped
-    silently.
+    The body's modes k_n < 0 must equal the conjugates of their mirrors -k,
+    which lie in its k_n >= 0 half, by value, NaN equal to NaN, so that no
+    mode is dropped silently.  Only those columns and the half are copied.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -104,10 +104,11 @@ def read_checkpoint(path):
         )
     lattice = build_lattice(n, N)
     full = np.frombuffer(body, dtype="<c16").reshape((n,) + lattice.shape)
-    half = lattice.half(full)
-    negative = (Ellipsis, slice(N // 2 + 1, None))  # the modes k_n < 0
-    if not np.array_equal(full[negative], full_spectrum(half, n)[negative], equal_nan=True):
+    w = N // 2 + 1
+    rev = (-np.arange(N)) % N  # mode k -> mode -k (mod N) on one axis
+    mirror = full[(slice(None),) + np.ix_(*([rev] * (n - 1)), rev[w:])]  # -k of each k_n < 0
+    if not np.array_equal(full[..., w:], np.conjugate(mirror, out=mirror), equal_nan=True):
         raise CheckpointFormatError("checkpoint body is not Hermitian: a mode k_n < 0 "
                                     "differs from the conjugate of its mirror")
-    field = SpectralVectorField(lattice, half.astype(np.complex128), time)
+    field = SpectralVectorField(lattice, full[..., :w].astype(np.complex128), time)
     return field, CheckpointMeta(alpha=alpha, nu=nu, time=time, seed=seed)

@@ -81,7 +81,7 @@ def moment_sums(lattice: WavenumberLattice, values, orders) -> list:
     halves] (|k|^0 = 1 at k = 0); |v| is formed once per call and |k|^m once
     per order."""
     mags = np.abs(values)
-    kmod = lattice.half(lattice.kmod_array)
+    kmod = lattice.kmod_array
     sums = [{} for _ in mags]
     for m in orders:
         weights = kmod ** float(m)
@@ -92,7 +92,7 @@ def moment_sums(lattice: WavenumberLattice, values, orders) -> list:
 
 def enstrophy(u: SpectralVectorField) -> float:
     """1/2 ||grad u||^2, which is 1/2 ||omega||^2 when div u = 0."""
-    return 0.5 * u.lattice.volume * _weighted(u.lattice.half(u.lattice.ksq_array), u)
+    return 0.5 * u.lattice.volume * _weighted(u.lattice.ksq_array, u)
 
 
 def enstrophy_production(u: SpectralVectorField) -> float:
@@ -112,7 +112,7 @@ def max_velocity(u: SpectralVectorField) -> float:
 
 def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
     lat = u.lattice
-    return math.sqrt(lat.volume * _weighted((1.0 + lat.half(lat.ksq_array)) ** float(beta), u))
+    return math.sqrt(lat.volume * _weighted((1.0 + lat.ksq_array) ** float(beta), u))
 
 
 def tail_fraction(u: SpectralVectorField) -> float:
@@ -122,7 +122,7 @@ def tail_fraction(u: SpectralVectorField) -> float:
     table the solver cuts with.
     """
     lat = u.lattice
-    shell = lat.half(lat.dealias_mask_array) & (lat.half(lat.kmax_array) >= lat.N / 3.0 - 1.0)
+    shell = lat.dealias_mask_array & (lat.kmax_array >= lat.N / 3.0 - 1.0)
     per_mode = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     total = mode_sum(per_mode)
     if total == 0.0:
@@ -267,7 +267,7 @@ def max_norm_bound_check(u: SpectralVectorField, beta_total: int):
             if axis is None:
                 deriv = u.coeffs[i]
             else:
-                deriv = (1j * lat.half(lat.mode_grids[axis])) ** beta_total * u.coeffs[i]
+                deriv = (1j * lat.mode_grids[axis]) ** beta_total * u.coeffs[i]
             lhs = float(np.max(np.abs(coeffs_to_grid(deriv, lat.n))))
             out.append(MaxNormBoundCheck(i, axis, beta_total, lhs, rhs,
                                    lhs <= rhs + 1e-10))

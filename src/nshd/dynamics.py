@@ -141,7 +141,7 @@ class SolverState:
 
 def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> np.ndarray:
     """nu |k|^(2*alpha) per mode of the k_n >= 0 half (zero at k = 0)."""
-    return nu * lattice.half(lattice.kmod_array) ** (2.0 * alpha)
+    return nu * lattice.kmod_array ** (2.0 * alpha)
 
 
 class SlabPool:
@@ -217,12 +217,12 @@ class StepWorkspace:
 
     def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray,
                  pool: SlabPool | None = None):
-        n, N, half = lattice.n, lattice.N, lattice.N // 2 + 1
-        kept = lattice.dealias_mask_array.reshape(-1, N)[:, :half].any(axis=0)
+        n, N = lattice.n, lattice.N
+        kept = lattice.dealias_mask_array.any(axis=tuple(range(n - 1)))
         w = self.width = int(np.flatnonzero(kept)[-1]) + 1
         self.lattice = lattice
         self.symbol = np.ascontiguousarray(symbol[..., :w])  # any width of at least w
-        self.batch = np.zeros((n + n * n,) + lattice.shape[:-1] + (half,), dtype=np.complex128)
+        self.batch = np.zeros((n + n * n,) + lattice.half_shape, dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
         self.stages = np.empty((4, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
         self.pool = SlabPool() if pool is None else pool
@@ -311,7 +311,7 @@ def compute_pressure(u: SpectralVectorField) -> np.ndarray:
     _, grad = velocity_gradient_grid(lat, u.coeffs)
     trace = np.einsum("ij...,ji...->...", grad, grad)
     g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n))
-    return g_hat * lat.inv_ksq_array[..., : g_hat.shape[-1]]
+    return g_hat * lat.inv_ksq_array
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,

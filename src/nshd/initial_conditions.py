@@ -3,9 +3,10 @@
 Random fields use numpy's Philox bit generator (philox4x64-10), a 64-bit
 counter-based RNG with a documented, platform-stable stream, so a (seed,
 lattice, band) triple reproduces coefficients bit-exactly.  Draw order is
-fixed: components major, then half-space modes in flat row-major order,
-real part before imaginary part.  A field is built over every mode of the
-lattice and returned as the k_n >= 0 half that `SpectralVectorField` holds.
+fixed: components major, then the lexicographically positive modes of the
+band in the lattice's flat row-major order, real part before imaginary
+part.  Fields are built directly on the k_n >= 0 half that
+`SpectralVectorField` holds.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .spectral import (
     SpectralVectorField,
     WavenumberLattice,
     check_finite,
-    hermitian_conjugate,
     leray_project_coeffs,
+    mode_sum,
 )
 
 SLOPE_DECADES = 100  # the band's largest |k|^spectrum_slope lies within 1e+-100
@@ -80,10 +81,11 @@ def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> Spectral
     -cos x sin y cos z, 0).  Exactly divergence-free and zero-mean.
     """
     n, N = lattice.n, lattice.N
-    coeffs = np.zeros((n,) + lattice.shape, dtype=np.complex128)
-    # sin x -> -+ i/2 at k1 = +-1 ; cos x -> 1/2 at k1 = +-1
+    coeffs = np.zeros((n,) + lattice.half_shape, dtype=np.complex128)
+    # sin x -> -+ i/2 at k1 = +-1 ; cos x -> 1/2 at k1 = +-1; the half holds
+    # the last axis's k_n = +1 only
     for s1 in (1, -1):
-        for s2 in (1, -1):
+        for s2 in (1, -1) if n == 3 else (1,):
             c_sin_x = s1 / 2j  # coefficient of exp(i s1 x) in sin x
             c_cos_x = 0.5
             c_sin_y = s2 / 2j
@@ -93,65 +95,64 @@ def taylor_green(lattice: WavenumberLattice, amplitude: float = 1.0) -> Spectral
                 coeffs[0][i1, i2] = amplitude * c_sin_x * c_cos_y
                 coeffs[1][i1, i2] = -amplitude * c_cos_x * c_sin_y
             else:
-                for s3 in (1, -1):
-                    i3 = s3 % N
-                    c_cos_z = 0.5
-                    coeffs[0][i1, i2, i3] = amplitude * c_sin_x * c_cos_y * c_cos_z
-                    coeffs[1][i1, i2, i3] = -amplitude * c_cos_x * c_sin_y * c_cos_z
-    return SpectralVectorField(lattice, lattice.half(coeffs).copy(), 0.0)
-
-
-def _halfspace_mask(lattice: WavenumberLattice) -> np.ndarray:
-    """Lexicographically-positive half of the mode lattice (k and -k split)."""
-    shape = lattice.shape
-    mask = np.zeros(shape, dtype=bool)
-    prev_zero = np.ones(shape, dtype=bool)
-    for g in lattice.mode_grids:
-        mask |= prev_zero & np.broadcast_to(g > 0, shape)
-        prev_zero = prev_zero & np.broadcast_to(g == 0, shape)
-    return mask
+                c_cos_z = 0.5
+                coeffs[0][i1, i2, 1] = amplitude * c_sin_x * c_cos_y * c_cos_z
+                coeffs[1][i1, i2, 1] = -amplitude * c_cos_x * c_sin_y * c_cos_z
+    return SpectralVectorField(lattice, coeffs, 0.0)
 
 
 def random_band_limited(lattice: WavenumberLattice, spec: InitialConditionSpec) -> SpectralVectorField:
     """Seeded random divergence-free field supported on a spectral shell.
 
     Modes with k_min <= |k| <= k_max get independent complex Gaussian
-    amplitudes shaped by |k|^spectrum_slope; Hermitian symmetry is enforced
-    by drawing a half-space and mirroring, then the field is Leray-projected
-    and rescaled so its energy is exactly amplitude^2.
+    amplitudes shaped by |k|^spectrum_slope.  One mode of each pair +-k is
+    drawn, the lexicographically positive one (its first nonzero k_j is
+    positive); the draw is written at k and its conjugate at -k, each where
+    it lies in the k_n >= 0 half, which on the plane k_n = 0 holds both.
+    The half is then Leray-projected and rescaled so its energy is exactly
+    amplitude^2.
     """
     if spec.kind != "random_band":
         raise ValueError("spec.kind must be 'random_band'")
-    n = lattice.n
+    n, N = lattice.n, lattice.N
     k_min, k_max = spec.band
-    if not k_max < lattice.N / 3:
+    if not k_max < N / 3:
         raise ValueError(
-            f"band upper bound {k_max} must stay below N/3 = {lattice.N / 3:g}"
+            f"band upper bound {k_max} must stay below N/3 = {N / 3:g}"
         )
-    kmod = lattice.kmod_array
+    # the band lies in the box max_j |k_j| <= k_max, whose wavenumbers run in
+    # the lattice's index order on each axis, so the box's row-major order is
+    # the lattice's
+    edge = math.floor(k_max)
+    k_axis = np.r_[0 : edge + 1, -edge : 0]
+    box = np.meshgrid(*[k_axis.astype(np.float64)] * n, indexing="ij", sparse=True)
+    kmod = np.sqrt(sum(g**2 for g in box))
     shell = (kmod >= k_min) & (kmod <= k_max)
     if not shell.any():
         raise EmptyBand(f"no modes with |k| in [{k_min}, {k_max}]")
-    half = shell & _halfspace_mask(lattice)
+    positive = False  # the first nonzero k_j is positive
+    undecided = True  # k_1 = ... = k_j = 0 so far
+    for g in box:
+        positive = positive | (undecided & (g > 0))
+        undecided = undecided & (g == 0)
 
-    flat_idx = np.flatnonzero(half)  # row-major order fixes the draw order
+    drawn = np.nonzero(shell & positive)  # row-major order fixes the draw order
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    draws = rng.standard_normal((n, flat_idx.size, 2))
-    amplitudes = (draws[..., 0] + 1j * draws[..., 1]) * (
-        kmod.flat[flat_idx] ** spec.spectrum_slope
-    )
+    draws = rng.standard_normal((n, drawn[0].size, 2))
+    amplitudes = (draws[..., 0] + 1j * draws[..., 1]) * (kmod[drawn] ** spec.spectrum_slope)
 
-    coeffs = np.zeros((n,) + lattice.shape, dtype=np.complex128)
-    for i in range(n):
-        coeffs[i].flat[flat_idx] = amplitudes[i]
-    coeffs = coeffs + hermitian_conjugate(lattice, coeffs)  # fills the -k half
-    coeffs = leray_project_coeffs(lattice, coeffs)
+    k = np.stack([k_axis[i] for i in drawn])  # (n, modes) wavenumbers
+    coeffs = np.zeros((n,) + lattice.half_shape, dtype=np.complex128)
+    for at, values in ((k, amplitudes), (-k, np.conj(amplitudes))):
+        inside = at[-1] >= 0
+        coeffs[(slice(None),) + tuple(at[:, inside] % N)] = values[:, inside]
+    leray_project_coeffs(lattice, coeffs, out=coeffs)
 
-    total = lattice.volume * np.sum(np.abs(coeffs) ** 2)  # = 2 * energy
+    total = lattice.volume * mode_sum(np.abs(coeffs) ** 2)  # = 2 * energy
     if total == 0.0:
         raise EmptyBand("projection annihilated every mode in the band")
-    half = lattice.half(coeffs) * (spec.amplitude / np.sqrt(0.5 * total))
-    return SpectralVectorField(lattice, half, 0.0)
+    coeffs *= spec.amplitude / np.sqrt(0.5 * total)
+    return SpectralVectorField(lattice, coeffs, 0.0)
 
 
 def build_initial_field(lattice: WavenumberLattice, spec: InitialConditionSpec) -> SpectralVectorField:

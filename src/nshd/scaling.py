@@ -77,7 +77,7 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
     lat = u.lattice
     N = lat.N
     active = np.abs(u.coeffs).sum(axis=0) > 0
-    kmax = int(lat.half(lat.kmax_array)[active].max()) if active.any() else 0
+    kmax = int(lat.kmax_array[active].max()) if active.any() else 0
     if not zoom_cut(kmax, q, N):
         raise RescaleOverflow(
             f"q={q} pushes active modes (max |k_j|={kmax}) past N/3={N / 3:g}"
@@ -97,7 +97,7 @@ def apply_discrete_rescale(u: SpectralVectorField, q: int, alpha) -> SpectralVec
 def sub_ball(u: SpectralVectorField, q: int) -> SpectralVectorField:
     """u truncated to the modes inside `zoom_cut` for q, which a zoom by q keeps dealiased."""
     lat = u.lattice
-    return u.with_coeffs(u.coeffs * zoom_cut(lat.half(lat.kmax_array), q, lat.N))
+    return u.with_coeffs(u.coeffs * zoom_cut(lat.kmax_array, q, lat.N))
 
 
 def zoom_commutation(u0: SpectralVectorField, q: int, alpha, evolve) -> tuple[float, float]:

@@ -12,13 +12,13 @@ The fields are real, so c(-k) = conj(c(k)), and a field holds only the
 k_n >= 0 half of the last axis, N//2 + 1 columns: the half in memory, the
 full spectrum on disk.  `full_spectrum` completes a half for the checkpoint
 file, and `mode_sum` turns a sum over the half into the sum over every mode.
-The lattice's tables (`kmod_array` and the others) cover every mode, and
-`WavenumberLattice.half` cuts them to the half.  The transforms take the
-half, and a keyword-only `width` for arrays whose columns from `width` on
-are zero, as the 2/3 rule leaves them: the complex passes then skip those
-columns, and every computed column keeps its bytes.  The array-level
-operators (`gradient_batch`, `dealias_coeffs`, `leray_project_coeffs`) take
-any width of the half.
+The lattice's tables (`kmod_array` and the others) hold the same half,
+`half_shape`, and its last sparse mode grid the half's columns.  The
+transforms take the half, and a keyword-only `width` for arrays whose
+columns from `width` on are zero, as the 2/3 rule leaves them: the complex
+passes then skip those columns, and every computed column keeps its bytes.
+The array-level operators (`gradient_batch`, `dealias_coeffs`,
+`leray_project_coeffs`) take any width of the half.
 
 The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
@@ -92,9 +92,9 @@ class WavenumberLattice:
     n: int
     N: int
 
-    # cached arrays, filled in __post_init__: `mode_grids` holds the sparse float
-    # (k_1, ..., k_n), `kmax_array` the Chebyshev size max_j |k_j| of each mode
-    modes_1d: np.ndarray = field(init=False, repr=False, compare=False)
+    # cached arrays over the k_n >= 0 half, filled in __post_init__: `mode_grids`
+    # holds the sparse float (k_1, ..., k_n), `kmax_array` the Chebyshev size
+    # max_j |k_j| of each mode
     mode_grids: tuple = field(init=False, repr=False, compare=False)
     kmax_array: np.ndarray = field(init=False, repr=False, compare=False)
     kmod_array: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,14 +104,14 @@ class WavenumberLattice:
 
     def __post_init__(self):
         check_grid(self.n, self.N)
-        modes = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-        grids = tuple(np.meshgrid(*([modes.astype(np.float64)] * self.n),
+        modes = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64).astype(np.float64)
+        # the half's last axis: k_n = 0, ..., N/2 - 1 and the Nyquist column, -N/2
+        grids = tuple(np.meshgrid(*([modes] * (self.n - 1)), modes[: self.N // 2 + 1],
                                   indexing="ij", sparse=True))
-        # the sparse grids broadcast to the full shape in both reductions
+        # the sparse grids broadcast to the half shape in both reductions
         kmax = functools.reduce(np.maximum, map(np.abs, grids))
         ksq = sum(g**2 for g in grids)
-        inv_ksq = np.divide(1.0, ksq, out=np.zeros(self.shape), where=ksq > 0)
-        object.__setattr__(self, "modes_1d", modes)
+        inv_ksq = np.divide(1.0, ksq, out=np.zeros(self.half_shape), where=ksq > 0)
         object.__setattr__(self, "mode_grids", grids)
         object.__setattr__(self, "kmax_array", kmax)
         object.__setattr__(self, "ksq_array", ksq)
@@ -126,13 +126,9 @@ class WavenumberLattice:
 
     @property
     def half_shape(self):
-        """The k_n >= 0 half of the mode lattice that a field holds, (N, ..., N//2 + 1)."""
+        """The k_n >= 0 half of the mode lattice that a field and the tables
+        hold, (N, ..., N//2 + 1)."""
         return self.shape[:-1] + (self.N // 2 + 1,)
-
-    def half(self, array: np.ndarray) -> np.ndarray:
-        """A view of the k_n >= 0 half of an array over every mode: a table,
-        a sparse mode grid or a full spectrum."""
-        return array[..., : self.N // 2 + 1]
 
     @property
     def dx(self) -> float:
@@ -269,8 +265,7 @@ def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
     n = lattice.n
     m = 0 if lead is None else len(lead)
     if batch is None:
-        batch = np.empty((m + n * n,) + lattice.shape[:-1] + (lattice.N // 2 + 1,),
-                         dtype=np.complex128)
+        batch = np.empty((m + n * n,) + lattice.half_shape, dtype=np.complex128)
     width = batch.shape[-1]
     if m:
         batch[:m] = lead[..., :width]
@@ -336,7 +331,7 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
 def spectral_derivative(u: SpectralVectorField, component: int, axis: int) -> np.ndarray:
     """Coefficients of d(u_component)/d(x_axis): multiply by i*k_axis."""
-    return 1j * u.lattice.half(u.lattice.mode_grids[axis]) * u.coeffs[component]
+    return 1j * u.lattice.mode_grids[axis] * u.coeffs[component]
 
 
 def dealias_coeffs(lattice: WavenumberLattice, coeffs: np.ndarray,
@@ -361,7 +356,7 @@ def vorticity(u: SpectralVectorField) -> np.ndarray:
     vector array, shaped like `u.coeffs`, for n=3.
     """
     lat = u.lattice
-    g = [lat.half(x) for x in lat.mode_grids]
+    g = lat.mode_grids
     c = u.coeffs
     if lat.n == 2:
         return 1j * (g[0] * c[1] - g[1] * c[0])
@@ -385,14 +380,6 @@ def mode_sum(values: np.ndarray) -> float:
     return float(np.sum(values * weights))
 
 
-def hermitian_conjugate(lattice: WavenumberLattice, coeffs: np.ndarray) -> np.ndarray:
-    """conj(c(-k)) of an array over every mode, the trailing n axes index-reversed mod N."""
-    idx = (-np.arange(lattice.N)) % lattice.N  # mode k -> mode -k (mod N)
-    lead = coeffs.ndim - lattice.n
-    sel = (slice(None),) * lead + np.ix_(*((idx,) * lattice.n))
-    return np.conj(coeffs[sel])
-
-
 def hermitian_defect(u: SpectralVectorField) -> float:
     """Max |c(k) - conj(c(-k))| over all components, on the planes k_n = 0 and k_n = N/2.
 
@@ -409,7 +396,7 @@ def hermitian_defect(u: SpectralVectorField) -> float:
 
 def divergence_defect(u: SpectralVectorField) -> float:
     """Max |k . c(k)| relative to the largest coefficient amplitude."""
-    grids = [u.lattice.half(g) for g in u.lattice.mode_grids]
+    grids = u.lattice.mode_grids
     div = sum(grids[j] * u.coeffs[j] for j in range(u.lattice.n))
     scale = float(np.max(np.abs(u.coeffs)))
     if scale == 0.0:

@@ -1,4 +1,6 @@
 import errno
+import functools
+from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from nshd.dynamics import StepWorkspace, dissipation_symbol, nonlinear_rhs
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
-from nshd.spectral import SpectralVectorField, build_lattice
+from nshd.spectral import SpectralVectorField, build_lattice, leray_project_coeffs
 
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None,
@@ -90,3 +92,64 @@ class FullDisk:
 def mean_mode(u):
     """The k = 0 coefficient of every component."""
     return u.coeffs[(slice(None),) + (0,) * u.lattice.n]
+
+
+# -- full-lattice oracles: every mode of the N^n lattice, not the k_n >= 0 half --
+
+
+def full_tables(n, N):
+    """The lattice tables over every mode, from np.fft.fftfreq, under the
+    lattice's names (`mode_grids`, `kmax_array`, `kmod_array`, `ksq_array`,
+    `inv_ksq_array`, `dealias_mask_array`, each broadcasting to (N,) * n), so
+    it stands in for the lattice in the spectral operators on full spectra."""
+    modes = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64).astype(np.float64)
+    grids = tuple(np.meshgrid(*[modes] * n, indexing="ij", sparse=True))
+    kmax = functools.reduce(np.maximum, map(np.abs, grids))
+    ksq = sum(g**2 for g in grids)
+    return SimpleNamespace(
+        n=n, N=N, mode_grids=grids, kmax_array=kmax, kmod_array=np.sqrt(ksq),
+        ksq_array=ksq, inv_ksq_array=np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0),
+        dealias_mask_array=kmax < N / 3.0)
+
+
+def hermitian_conjugate(coeffs, n):
+    """conj(c(-k)) of an array over every mode, the trailing n axes index-reversed mod N."""
+    idx = (-np.arange(coeffs.shape[-1])) % coeffs.shape[-1]  # mode k -> mode -k (mod N)
+    return np.conj(coeffs[(slice(None),) * (coeffs.ndim - n) + np.ix_(*((idx,) * n))])
+
+
+def halfspace_mask(tables):
+    """Lexicographically positive half of the full mode lattice (k and -k split)."""
+    shape = tables.ksq_array.shape
+    mask = np.zeros(shape, dtype=bool)
+    prev_zero = np.ones(shape, dtype=bool)
+    for g in tables.mode_grids:
+        mask |= prev_zero & np.broadcast_to(g > 0, shape)
+        prev_zero = prev_zero & np.broadcast_to(g == 0, shape)
+    return mask
+
+
+def full_lattice_random_band(lattice, spec, scaled=True):
+    """`random_band_limited`'s field built over every mode and cut to the
+    k_n >= 0 half at the end: the same draws, mirrored by `hermitian_conjugate`,
+    Leray-projected and normalised by the sum over every mode.  `scaled=False`
+    stops before the normalisation."""
+    n, N = lattice.n, lattice.N
+    k_min, k_max = spec.band
+    tables = full_tables(n, N)
+    kmod = tables.kmod_array
+    half = (kmod >= k_min) & (kmod <= k_max) & halfspace_mask(tables)
+    flat_idx = np.flatnonzero(half)
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    draws = rng.standard_normal((n, flat_idx.size, 2))
+    amplitudes = (draws[..., 0] + 1j * draws[..., 1]) * (
+        kmod.flat[flat_idx] ** spec.spectrum_slope)
+    coeffs = np.zeros((n,) + lattice.shape, dtype=np.complex128)
+    for i in range(n):
+        coeffs[i].flat[flat_idx] = amplitudes[i]
+    coeffs = coeffs + hermitian_conjugate(coeffs, n)
+    coeffs = leray_project_coeffs(tables, coeffs)
+    if scaled:
+        total = lattice.volume * np.sum(np.abs(coeffs) ** 2)
+        coeffs = coeffs * (spec.amplitude / np.sqrt(0.5 * total))
+    return half_of(coeffs)

@@ -24,7 +24,7 @@ from nshd.scaling import (
 )
 from nshd.spectral import build_lattice, full_spectrum
 
-from conftest import half_of, make_random_field
+from conftest import make_random_field
 from test_scaling import quadrature_moment
 
 
@@ -152,11 +152,11 @@ def test_criterion_4_scaling_criticality():
             SolverState(u=apply_discrete_rescale(u0, q, alpha)), cfg_b
         ).u
         sub_kmax = int(np.ceil(lat.N / 3.0 / q)) - 1
-        mask = np.ones(lat.shape, dtype=bool)
+        mask = np.ones(lat.half_shape, dtype=bool)
         for g in lat.mode_grids:
             mask &= np.abs(g) <= sub_kmax
         rescaled = apply_discrete_rescale(
-            a_final.with_coeffs(a_final.coeffs * half_of(mask)), q, alpha
+            a_final.with_coeffs(a_final.coeffs * mask), q, alpha
         )
         disc = np.linalg.norm(full_spectrum(rescaled.coeffs - b_final.coeffs, 2)) / (
             np.linalg.norm(full_spectrum(b_final.coeffs, 2))

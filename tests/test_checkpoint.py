@@ -1,5 +1,6 @@
 """Binary checkpoint format: roundtrip, layout, rejection of bad files."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -101,18 +102,28 @@ def test_reject_unsupported_lattice_header(tmp_path, field, value):
 
 def test_reject_a_body_that_is_not_the_completion_of_its_half(tmp_path):
     # a field holds the k_n >= 0 half, so a mode k_n < 0 that is not the
-    # conjugate of its mirror would otherwise be dropped silently
-    u = make_random_field(seed=47, N=8, band=(1, 2))
-    path = tmp_path / "state.nshd"
-    write_checkpoint(path, u, alpha=1.0, nu=1.0)
-    raw = bytearray(path.read_bytes())
-    offset = struct.calcsize("<4sBBIdddQ") + 15 * 16  # component 0, mode (1, -1)
-    re, im = struct.unpack_from("<dd", raw, offset)
-    struct.pack_into("<dd", raw, offset, re, im + 1e-3)
-    bad = tmp_path / "bad.nshd"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError, match="Hermitian"):
-        read_checkpoint(bad)
+    # conjugate of its mirror would otherwise be dropped silently; in 2D and
+    # 3D one such mode is tampered with in each block of leading indices,
+    # each 0 (its own mirror index) or not (a reversed one)
+    N = 8
+    for n in (2, 3):
+        u = make_random_field(n=n, N=N, seed=47, band=(1, 2))
+        path = tmp_path / "state.nshd"
+        write_checkpoint(path, u, alpha=1.0, nu=1.0)
+        good = path.read_bytes()
+        for lead in itertools.product((0, 1), repeat=n - 1):
+            raw = bytearray(good)
+            mode = lead + (N - 1,)  # component 0, k_n = -1
+            offset = (struct.calcsize("<4sBBIdddQ")
+                      + 16 * int(np.ravel_multi_index(mode, (N,) * n)))
+            re, im = struct.unpack_from("<dd", raw, offset)
+            struct.pack_into("<dd", raw, offset, re, im + 1e-3)
+            bad = tmp_path / "bad.nshd"
+            bad.write_bytes(bytes(raw))
+            with pytest.raises(CheckpointFormatError, match="Hermitian"):
+                read_checkpoint(bad)
+        back, _ = read_checkpoint(path)
+        np.testing.assert_array_equal(back.coeffs, u.coeffs)
 
 
 def test_an_all_nan_body_loads(tmp_path):

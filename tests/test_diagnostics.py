@@ -38,7 +38,7 @@ from nshd.spectral import (
     vorticity,
 )
 
-from conftest import grid_coords, half_of, make_random_field, zero_field
+from conftest import full_tables, grid_coords, half_of, make_random_field, zero_field
 
 
 # -- scalar diagnostics ----------------------------------------------------------
@@ -92,7 +92,7 @@ def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
         pressure = moment_sums(lat, [p_hat], orders)
         assert len(sums) == n and len(pressure) == 1
         for m in orders:
-            weights = half_of(lat.kmod_array) ** float(m)
+            weights = lat.kmod_array ** float(m)
             for i in range(n):
                 assert sums[i][m] == mode_sum(weights * np.abs(u.coeffs[i]))
             assert pressure[0][m] == mode_sum(weights * np.abs(p_hat))
@@ -109,9 +109,8 @@ def test_enstrophy_equals_gradient_norm_for_divergence_free():
     for n, N in ((2, 32), (3, 16)):
         u = make_random_field(n=n, N=N, seed=52, band=(1, 4))
         lat = u.lattice
-        grad_sq = 0.5 * lat.volume * float(
-            np.sum(lat.ksq_array * np.sum(np.abs(full_spectrum(u.coeffs, n)) ** 2, axis=0))
-        )
+        grad_sq = 0.5 * lat.volume * float(np.sum(
+            full_tables(n, N).ksq_array * np.sum(np.abs(full_spectrum(u.coeffs, n)) ** 2, axis=0)))
         assert enstrophy(u) == pytest.approx(grad_sq, rel=1e-12)
         omega = full_spectrum(vorticity(u), n)
         half_omega_sq = 0.5 * lat.volume * float(np.sum(np.abs(omega) ** 2))
@@ -181,6 +180,7 @@ def test_half_sums_weigh_each_column_by_its_multiplicity(grid, seed):
     u = SpectralVectorField(lat, spectral.grid_to_coeffs(x, n))
     full = full_spectrum(u.coeffs, n)
     per_mode = np.sum(np.abs(full) ** 2, axis=0)
+    tables = full_tables(n, N)
     alpha, nu, orders, betas = 1.25, 0.7, (0.0, 1.0, 2.5), (0.0, 1.0, 2.5)
 
     def close(got, want):
@@ -188,15 +188,15 @@ def test_half_sums_weigh_each_column_by_its_multiplicity(grid, seed):
 
     close(energy(u), 0.5 * lat.volume * float(np.sum(np.abs(full) ** 2)))
     close(dissipation_rate(u, alpha, nu),
-          lat.volume * float(np.sum(nu * lat.kmod_array ** (2 * alpha) * per_mode)))
-    close(enstrophy(u), 0.5 * lat.volume * float(np.sum(lat.ksq_array * per_mode)))
+          lat.volume * float(np.sum(nu * tables.kmod_array ** (2 * alpha) * per_mode)))
+    close(enstrophy(u), 0.5 * lat.volume * float(np.sum(tables.ksq_array * per_mode)))
     for beta in betas:
         close(sobolev_norm(u, beta), math.sqrt(
-            lat.volume * float(np.sum((1.0 + lat.ksq_array) ** beta * per_mode))))
+            lat.volume * float(np.sum((1.0 + tables.ksq_array) ** beta * per_mode))))
     for i, sums in enumerate(moment_sums(lat, u.coeffs, orders)):
         for m in orders:
-            close(sums[m], float(np.sum(lat.kmod_array ** m * np.abs(full[i]))))
-    shell = lat.dealias_mask_array & (lat.kmax_array >= N / 3.0 - 1.0)
+            close(sums[m], float(np.sum(tables.kmod_array ** m * np.abs(full[i]))))
+    shell = tables.dealias_mask_array & (tables.kmax_array >= N / 3.0 - 1.0)
     close(tail_fraction(u), float(np.sum(per_mode[shell])) / float(np.sum(per_mode)))
     # Parseval: the half's mode sum, the full spectrum's and the grid quadrature
     close(lat.volume * mode_sum(np.abs(u.coeffs) ** 2), lat.cell_volume * float(np.sum(x**2)))
@@ -364,7 +364,7 @@ def test_tail_fraction_is_the_last_shell_the_dealias_mask_keeps():
     x, y, _ = grid_coords(lat)
     grid = np.stack([np.zeros_like(x), np.zeros_like(x), np.cos(10 * x + 10 * y)])
     u = SpectralVectorField(lat, spectral.grid_to_coeffs(grid, 3))
-    dead = ~half_of(lat.dealias_mask_array)
+    dead = ~lat.dealias_mask_array
     assert np.max(np.abs(u.coeffs[:, dead])) < 1e-15  # round-off only
     assert tail_fraction(u) == pytest.approx(1.0, rel=1e-12)
     cfg = SolverConfig(n=3, N=32, alpha=1.25, nu=1.0, t_end=1.0)

@@ -1,9 +1,13 @@
 """Taylor-Green and seeded random band-limited field construction."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from nshd import initial_conditions
 from nshd.diagnostics import energy
 from nshd.initial_conditions import (
     EmptyBand,
@@ -20,7 +24,7 @@ from nshd.spectral import (
     hermitian_defect,
 )
 
-from conftest import grid_coords, half_of, mean_mode
+from conftest import full_lattice_random_band, grid_coords, mean_mode
 
 
 def test_taylor_green_2d_energy():
@@ -90,7 +94,7 @@ def test_random_band_support_is_in_shell():
     u = random_band_limited(
         lat, InitialConditionSpec("random_band", seed=5, band=(3, 5))
     )
-    kmod = half_of(lat.kmod_array)
+    kmod = lat.kmod_array
     outside = (kmod < 3) | (kmod > 5)
     assert np.max(np.abs(u.coeffs[:, outside])) == 0.0
 
@@ -102,7 +106,7 @@ def test_random_band_spectrum_slope():
     steep = random_band_limited(
         lat, InitialConditionSpec("random_band", seed=6, band=(1, 6),
                                   spectrum_slope=-2.0))
-    kmod = half_of(lat.kmod_array)
+    kmod = lat.kmod_array
     hi, lo = kmod > 4, (kmod > 0) & (kmod < 2)
     def shell_energy(u, sel):
         return float(np.sum(np.abs(u.coeffs[:, sel]) ** 2))
@@ -157,3 +161,45 @@ def test_spec_validation():
         InitialConditionSpec("random_band", band=(0, 3))
     with pytest.raises(ValueError, match="band"):
         InitialConditionSpec("random_band", band=(4, 2))
+
+
+# the half build against the full-lattice build it replaced (conftest's oracle)
+
+
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**64 - 1),
+       band=st.tuples(st.integers(1, 5), st.integers(0, 4)).map(lambda b: (b[0], min(5, sum(b)))),
+       slope=st.floats(-3.0, 3.0), amplitude=st.floats(0.01, 100.0))
+@settings(max_examples=40)
+def test_half_build_matches_the_full_lattice_build(n, seed, band, slope, amplitude):
+    # the projected half before the rescaling is byte-equal; only the
+    # normalising sum, over the half by `mode_sum`, moves the scaled field
+    lat = {2: build_lattice(2, 32), 3: build_lattice(3, 16)}[n]
+    spec = InitialConditionSpec("random_band", amplitude=amplitude, seed=seed, band=band,
+                                spectrum_slope=slope)
+    projected, project = [], initial_conditions.leray_project_coeffs
+
+    def spy(lattice, coeffs, out=None):
+        result = project(lattice, coeffs, out=out)
+        projected.append(result.copy())
+        return result
+
+    with mock.patch.object(initial_conditions, "leray_project_coeffs", spy):
+        u = random_band_limited(lat, spec)
+    assert len(projected) == 1
+    want = full_lattice_random_band(lat, spec, scaled=False)
+    assert projected[0].dtype == want.dtype and projected[0].tobytes() == want.tobytes()
+    np.testing.assert_allclose(u.coeffs, full_lattice_random_band(lat, spec),
+                               rtol=1e-15, atol=0)
+
+
+def test_random_band_peak_memory_stays_below_two_full_spectra():
+    # the full-lattice build peaked at 3.1 full spectra (n N^n complex numbers)
+    lat = build_lattice(3, 32)
+    spec = InitialConditionSpec("random_band", seed=9, band=(1, 10))
+    tracemalloc.start()
+    try:
+        random_band_limited(lat, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (3 * 32**3 * 16)

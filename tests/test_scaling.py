@@ -35,7 +35,7 @@ from nshd.spectral import (
 )
 from nshd.verify import _gaussian_moment_quadrature
 
-from conftest import half_of, make_random_field, zero_field
+from conftest import make_random_field, zero_field
 
 
 # -- exponent calculus ------------------------------------------------------------
@@ -116,10 +116,9 @@ def test_rescale_overflow():
 def test_sub_ball_keeps_what_a_zoom_keeps_dealiased(q):
     u = make_random_field(seed=65, band=(1, 9), N=32)
     sub = sub_ball(u, q)
-    kept = np.ones(u.lattice.shape, dtype=bool)
+    kept = np.ones(u.lattice.half_shape, dtype=bool)
     for g in u.lattice.mode_grids:
         kept &= q * np.abs(g) < 32 / 3
-    kept = half_of(kept)
     np.testing.assert_array_equal(sub.coeffs[:, kept], u.coeffs[:, kept])
     assert not np.any(sub.coeffs[:, ~kept])
     apply_discrete_rescale(sub, q, 1.0)  # fits: no RescaleOverflow
@@ -149,15 +148,15 @@ def test_lattice_masks_match_the_former_per_axis_formulas(n, N):
     u = make_random_field(n=n, N=N, seed=66, band=(1, (N + 2) // 3 - 1))  # k_max < N/3
     for q in range(1, N + 1):
         sub_kmax = int(np.ceil(N / 3.0 / q)) - 1
-        old_dealias = np.ones(lat.shape, dtype=bool)
-        old_sub = np.ones(lat.shape, dtype=bool)
+        old_dealias = np.ones(lat.half_shape, dtype=bool)
+        old_sub = np.ones(lat.half_shape, dtype=bool)
         for g in lat.mode_grids:
             old_dealias &= np.abs(g) < N / 3.0
             old_sub &= np.abs(g) <= sub_kmax
         if q == 1:
             np.testing.assert_array_equal(lat.dealias_mask_array, old_dealias)
         np.testing.assert_array_equal(zoom_cut(lat.kmax_array, q, N), old_sub)
-        np.testing.assert_array_equal(sub_ball(u, q).coeffs, u.coeffs * half_of(old_sub))
+        np.testing.assert_array_equal(sub_ball(u, q).coeffs, u.coeffs * old_sub)
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 12)])
@@ -315,10 +314,10 @@ def test_solution_map_commutation(alpha, q):
 
     lat = u0.lattice
     sub_kmax = int(np.ceil(lat.N / 3.0 / q)) - 1
-    mask = np.ones(lat.shape, dtype=bool)
+    mask = np.ones(lat.half_shape, dtype=bool)
     for g in lat.mode_grids:
         mask &= np.abs(g) <= sub_kmax
-    rescaled = apply_discrete_rescale(a_final.with_coeffs(a_final.coeffs * half_of(mask)),
+    rescaled = apply_discrete_rescale(a_final.with_coeffs(a_final.coeffs * mask),
                                       q, alpha)
     num = np.linalg.norm(full_spectrum(rescaled.coeffs - b_final.coeffs, 2))
     den = np.linalg.norm(full_spectrum(b_final.coeffs, 2))

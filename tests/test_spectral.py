@@ -15,7 +15,6 @@ from nshd.spectral import (
     divergence_defect,
     full_spectrum,
     grid_to_coeffs,
-    hermitian_conjugate,
     hermitian_defect,
     leray_project,
     spectral_derivative,
@@ -23,21 +22,28 @@ from nshd.spectral import (
 )
 from nshd.initial_conditions import taylor_green
 
-from conftest import grid_coords, half_of, make_random_field, zero_field
+from conftest import (full_tables, grid_coords, half_of, hermitian_conjugate,
+                      make_random_field, zero_field)
 
 
 # -- lattice -------------------------------------------------------------------
 
 
+def _k(lat, idx):
+    """The wavenumber of the half's mode at index `idx`, read from the lattice's grids."""
+    return tuple(float(np.broadcast_to(g, lat.half_shape)[idx]) for g in lat.mode_grids)
+
+
 def test_lattice_basic_2d():
     lat = build_lattice(2, 8)
-    assert tuple(lat.modes_1d[[1, 1]]) == (1, 1)
+    assert _k(lat, (1, 1)) == (1, 1)
     assert lat.kmod_array[1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_lattice_mode_ordering():
     lat = build_lattice(2, 8)
-    assert list(lat.modes_1d) == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert list(lat.mode_grids[0].ravel()) == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert list(lat.mode_grids[1].ravel()) == [0, 1, 2, 3, -4]  # the half's columns
 
 
 def test_dealias_mask_two_thirds_rule():
@@ -46,22 +52,39 @@ def test_dealias_mask_two_thirds_rule():
     assert lat.dealias_mask_array[2, 0]  # 2 < 8/3
 
     lat3 = build_lattice(3, 16)
-    assert tuple(lat3.modes_1d[[5, 0, 0]]) == (5, 0, 0)
+    assert _k(lat3, (5, 0, 0)) == (5, 0, 0)
     assert lat3.dealias_mask_array[5, 0, 0]  # 5 < 16/3
 
 
 def test_dealias_mask_kills_nyquist():
     lat = build_lattice(2, 8)
-    assert tuple(lat.modes_1d[[4, 0]]) == (-4, 0)
+    assert _k(lat, (4, 0)) == (-4, 0)
     assert not lat.dealias_mask_array[4, 0]
+    assert _k(lat, (0, 4)) == (0, -4)  # the half's last column
+    assert not lat.dealias_mask_array[0, 4]
 
 
 def test_dealias_mask_symmetric_under_reflection():
     lat = build_lattice(2, 16)
     mask = lat.dealias_mask_array
     idx = (-np.arange(16)) % 16
-    reflected = mask[np.ix_(idx, idx)]
-    assert np.array_equal(mask, reflected)
+    assert np.array_equal(mask, mask[idx])  # k_1 -> -k_1
+    assert np.array_equal(mask[:, 0], mask[idx, 0])  # k -> -k on the plane k_n = 0
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 30), (2, 98), (3, 8), (3, 12), (3, 18)])
+def test_lattice_tables_hold_the_half(n, N):
+    lat = build_lattice(n, N)
+    full = full_tables(n, N)
+    w = N // 2 + 1
+    for name in ("kmax_array", "kmod_array", "ksq_array", "inv_ksq_array", "dealias_mask_array"):
+        table = getattr(lat, name)
+        assert table.shape == lat.half_shape, name
+        want = np.ascontiguousarray(getattr(full, name)[..., :w])
+        assert table.dtype == want.dtype and table.tobytes() == want.tobytes(), name
+    assert lat.mode_grids[-1].shape == (1,) * (n - 1) + (w,)
+    for got, want in zip(lat.mode_grids, full.mode_grids):
+        assert got.tobytes() == np.ascontiguousarray(want[..., :w]).tobytes()
 
 
 def test_inv_ksq_inverts_ksq_off_the_mean_mode():
@@ -129,7 +152,7 @@ def test_parseval(seed):
 def _transform_batch(u):
     """Velocity components and derivatives of odd and even order."""
     c = u.coeffs
-    g = [u.lattice.half(x) for x in u.lattice.mode_grids]
+    g = u.lattice.mode_grids
     return np.stack([
         c[0],
         1j * g[0] * c[1],
@@ -223,7 +246,7 @@ def test_full_spectrum_inverts_half_spectrum(n, N, seed):
     assert half.flags.c_contiguous
     full = full_spectrum(half, n)
     np.testing.assert_array_equal(half_of(full), half)
-    np.testing.assert_array_equal(hermitian_conjugate(build_lattice(n, N), full), full)
+    np.testing.assert_array_equal(hermitian_conjugate(full, n), full)
     # zero columns, as a step leaves past the 2/3 rule, have 0-0j mirrors
     half[..., 5:] = 0.0
     mirrors = full_spectrum(half, n)[..., N // 2 + 1 : N - 4]
@@ -242,7 +265,7 @@ def test_completed_half_is_hermitian_off_the_edge_planes(n, N, seed):
     half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     full = full_spectrum(half, n)
     np.testing.assert_array_equal(full[..., : N // 2 + 1], half)
-    defect = full - hermitian_conjugate(build_lattice(n, N), full)
+    defect = full - hermitian_conjugate(full, n)
     assert np.all(defect[..., 1 : N // 2] == 0)
     assert np.all(defect[..., N // 2 + 1 :] == 0)
     assert np.max(np.abs(defect[..., 0])) > 0
@@ -265,9 +288,10 @@ def test_grid_to_coeffs_is_the_half_of_fftn(n, N, seed):
 def test_leray_annihilates_gradients(lattice_2d):
     # c(k) = k * phi(k) for a random scalar phi
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal(lattice_2d.shape) + 1j * rng.standard_normal(lattice_2d.shape)
+    phi = half_of(rng.standard_normal(lattice_2d.shape)
+                  + 1j * rng.standard_normal(lattice_2d.shape))
     grids = lattice_2d.mode_grids
-    coeffs = half_of(np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128))
+    coeffs = np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128)
     out = leray_project(SpectralVectorField(lattice_2d, coeffs))
     assert np.max(np.abs(out.coeffs)) < 1e-12 * np.max(np.abs(coeffs))
 
@@ -401,9 +425,10 @@ def test_vorticity_taylor_green():
 
 def test_vorticity_of_gradient_is_zero(lattice_2d):
     rng = np.random.default_rng(6)
-    phi = rng.standard_normal(lattice_2d.shape) + 1j * rng.standard_normal(lattice_2d.shape)
+    phi = half_of(rng.standard_normal(lattice_2d.shape)
+                  + 1j * rng.standard_normal(lattice_2d.shape))
     grids = lattice_2d.mode_grids
-    coeffs = half_of(1j * np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128))
+    coeffs = 1j * np.stack([grids[0] * phi, grids[1] * phi]).astype(np.complex128)
     w = vorticity(SpectralVectorField(lattice_2d, coeffs))
     assert np.max(np.abs(w)) < 1e-12 * np.max(np.abs(coeffs))
 
