@@ -9,28 +9,24 @@ Conventions (Fourier-series coefficients on the 2*pi torus):
     Sobolev norm      ||u||_{H^beta}^2 = (2*pi)^n sum_k (1+|k|^2)^beta sum_i |u_i|^2
 
 Along exact solutions dE/dt = -D (the differentiated energy identity, with
-the factor 2 kept explicit).  Every sum_k runs over all modes, through
-`spectral.mode_sum` on the k_n >= 0 half that a field holds.
+the factor 2 kept explicit).  Every sum_k runs over all modes, from the
+k_n >= 0 half a field holds, through the one kernel `_weighted_sums`.  A
+record runs on a `dynamics.StepWorkspace` (the run's, or a fresh one):
+transforms in its batch, pointwise work on its row slabs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import SolverConfig, compute_pressure, dissipation_symbol
-from .spectral import (
-    SpectralVectorField,
-    WavenumberLattice,
-    coeffs_to_grid,
-    mode_sum,
-    velocity_gradient_grid,
-    vorticity,
-)
+from .dynamics import SolverConfig, StepWorkspace, compute_pressure, gradient_grid
+from .spectral import SpectralVectorField, WavenumberLattice, coeffs_to_grid, live_width
 
 TAIL_FRACTION_THRESHOLD = 1e-6
 
@@ -59,75 +55,142 @@ class DiagnosticsRecord:
     flags: tuple = ()      # the FLAGS that fired, in FLAGS order
 
 
+# -- sums over every mode -----------------------------------------------------------
+
+
+# scale (shift + table)^p for a table of the lattice; table None is the last
+# shell the 2/3 rule keeps, max_j |k_j| in [N/3 - 1, N/3), cut by the dealias mask
+_Weight = namedtuple("_Weight", "table p shift scale", defaults=(0.0, 1.0))
+_ONE, _KSQ, _SHELL = _Weight("ksq_array", 0.0), _Weight("ksq_array", 1.0), _Weight(None, 0.0)
+
+
+def _weighted_sums(each, N: int, cols: int, terms) -> list:
+    """[sum_k weight(k) v(k) over every mode, for each v of each (weight,
+    values) in `terms`], each v on the first `cols` columns of the half.
+
+    On each row slab of `each` a `_Weight` is formed in one buffer, times
+    the column multiplicity 1, 2, ..., 2, 1 (exact, a power of 2), and its
+    dot product with each v is taken per first-axis row into a fixed
+    (values, N) array, summed once: the sums do not depend on the slab count.
+    """
+    mult = np.full(cols, 2.0)
+    mult[:: N // 2] = 1.0  # the columns k_n = 0 and -N/2 stand for themselves alone
+    rows = np.empty((sum(len(values) for _, values in terms), N))
+
+    def kernel(s):
+        cut = lambda name: getattr(s, name)[..., :cols]
+        weight = np.empty(cut("ksq_array").shape)
+        flat = lambda a: a.reshape(len(a), -1)
+        j = 0
+        for (table, p, shift, scale), values in terms:
+            if table is None:
+                keep = cut("dealias_mask_array") & (cut("kmax_array") >= N / 3.0 - 1.0)
+                np.multiply(keep, mult, out=weight)
+            else:
+                np.power(np.add(cut(table), shift, out=weight) if shift else cut(table), p,
+                         out=weight)
+                weight *= scale * mult
+            for v in values:
+                v = v[s.rows] if table else np.where(keep, v[s.rows], 0.0)  # 0 * inf is nan
+                np.einsum("ij,ij->i", flat(weight), flat(v), out=rows[j, s.rows])
+                j += 1
+
+    each(kernel)
+    return rows.sum(axis=1).tolist()
+
+
+def _moduli(each, coeffs: np.ndarray, cols: int):
+    """(|c_i|, sum_i |c_i|^2) of the component-first half `coeffs` on its
+    first `cols` columns, on the row slabs."""
+    mags = np.empty(coeffs.shape[:-1] + (cols,))
+    sq = np.empty(mags.shape[1:])
+
+    def kernel(s):
+        m, q = mags[:, s.rows], sq[s.rows]
+        np.abs(coeffs[:, s.rows, ..., :cols], out=m)
+        np.square(m[0], out=q)
+        for mi in m[1:]:
+            q += np.square(mi)
+
+    each(kernel)
+    return mags, sq
+
+
+def _square_sums(u: SpectralVectorField, *weights) -> list:
+    """[sum_k w(k) sum_i |u_i(k)|^2 for each `_Weight` w], on the lattice as
+    its own one slab."""
+    lat, each = u.lattice, lambda kernel: kernel(u.lattice)
+    cols = live_width(u.coeffs, lat.kept_width)
+    sq = _moduli(each, u.coeffs, cols)[1]
+    return _weighted_sums(each, lat.N, cols, [(w, [sq]) for w in weights])
+
+
 # -- scalar diagnostics --------------------------------------------------------
 
 
-def _weighted(weights: np.ndarray, u: SpectralVectorField) -> float:
-    """sum_k weights(k) sum_i |u_i(k)|^2, with `weights` on the k_n >= 0 half."""
-    return mode_sum(weights * np.sum(np.abs(u.coeffs) ** 2, axis=0))
-
-
 def energy(u: SpectralVectorField) -> float:
-    return 0.5 * u.lattice.volume * mode_sum(np.abs(u.coeffs) ** 2)
+    return 0.5 * u.lattice.volume * _square_sums(u, _ONE)[0]
 
 
 def dissipation_rate(u: SpectralVectorField, alpha: float, nu: float) -> float:
-    """D, weighted by the step's own `dynamics.dissipation_symbol`."""
-    return u.lattice.volume * _weighted(dissipation_symbol(u.lattice, alpha, nu), u)
+    """D, weighted by nu |k|^(2*alpha), the step's `dynamics.dissipation_symbol`."""
+    return u.lattice.volume * _square_sums(u, _Weight("kmod_array", 2.0 * alpha, 0.0, nu))[0]
 
 
 def moment_sums(lattice: WavenumberLattice, values, orders) -> list:
     """[{m: M_m(v)} for each v along the leading axis of `values`, k_n >= 0
-    halves] (|k|^0 = 1 at k = 0); |v| is formed once per call and |k|^m once
-    per order."""
-    mags = np.abs(values)
-    kmod = lattice.kmod_array
-    sums = [{} for _ in mags]
-    for m in orders:
-        weights = kmod ** float(m)
-        for out, mag in zip(sums, mags):
-            out[m] = mode_sum(weights * mag)
-    return sums
+    halves] (|k|^0 = 1 at k = 0)."""
+    values, each = np.asarray(values), lambda kernel: kernel(lattice)
+    cols = live_width(values, lattice.kept_width)
+    mags = _moduli(each, values, cols)[0]
+    sums = _weighted_sums(each, lattice.N, cols, [(_Weight("kmod_array", m), mags)
+                                                  for m in orders])
+    return [{m: sums[j * len(mags) + i] for j, m in enumerate(orders)}
+            for i in range(len(mags))]
 
 
 def enstrophy(u: SpectralVectorField) -> float:
     """1/2 ||grad u||^2, which is 1/2 ||omega||^2 when div u = 0."""
-    return 0.5 * u.lattice.volume * _weighted(u.lattice.ksq_array, u)
+    return 0.5 * u.lattice.volume * _square_sums(u, _KSQ)[0]
 
 
-def enstrophy_production(u: SpectralVectorField) -> float:
-    """<omega . grad u, omega> by grid quadrature; identically 0 for n = 2."""
+def enstrophy_production(u: SpectralVectorField, work: StepWorkspace | None = None) -> float:
+    """<omega . grad u, omega> by grid quadrature; identically 0 for n = 2.
+
+    omega and grad u go to the grid in the whole batch of `work` (fresh when
+    None), from the columns `live_width` reads.
+    """
     lat = u.lattice
     if lat.n == 2:
         return 0.0
-    w, grad = velocity_gradient_grid(lat, u.coeffs, lead=vorticity(u))
-    # omega_i omega_j is symmetric, so the orientation of grad does not matter
-    integrand = np.einsum("i...,ij...,j...->...", w, grad, w)
-    return lat.cell_volume * float(np.sum(integrand))
+    work = StepWorkspace(lat) if work is None else work
+    w, grad = gradient_grid(work, u.coeffs, live_width(u.coeffs, work.width), curl=True)
+    integrand, rows = work.conv[0], np.empty(lat.N)
+
+    def kernel(s):
+        # omega_i omega_j is symmetric, so the orientation of grad does not matter
+        r = s.rows
+        np.einsum("i...,ij...,j...->...", w[:, r], grad[:, :, r], w[:, r], out=integrand[r])
+        np.sum(integrand[r].reshape(len(rows[r]), -1), axis=1, out=rows[r])
+
+    work.each(kernel)
+    return lat.cell_volume * float(rows.sum())
 
 
 def max_velocity(u: SpectralVectorField) -> float:
-    return float(np.max(np.abs(coeffs_to_grid(u.coeffs, u.lattice.n))))
+    """max_i ||u_i||_inf, transformed from the columns `live_width` reads."""
+    cols = live_width(u.coeffs, u.lattice.kept_width)
+    return float(np.max(np.abs(coeffs_to_grid(u.coeffs, u.lattice.n, width=cols))))
 
 
 def sobolev_norm(u: SpectralVectorField, beta: float) -> float:
-    lat = u.lattice
-    return math.sqrt(lat.volume * _weighted((1.0 + lat.ksq_array) ** float(beta), u))
+    return math.sqrt(u.lattice.volume * _square_sums(u, _Weight("ksq_array", beta, 1.0))[0])
 
 
 def tail_fraction(u: SpectralVectorField) -> float:
-    """Energy fraction in the last shell the 2/3 rule keeps, max_j |k_j| in [N/3 - 1, N/3).
-
-    The shell is cut from `kmax_array` by the dealias mask (`zoom_cut`), the
-    table the solver cuts with.
-    """
-    lat = u.lattice
-    shell = lat.dealias_mask_array & (lat.kmax_array >= lat.N / 3.0 - 1.0)
-    per_mode = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    total = mode_sum(per_mode)
-    if total == 0.0:
-        return 0.0
-    return mode_sum(np.where(shell, per_mode, 0.0)) / total
+    """Energy fraction in the last shell the 2/3 rule keeps, max_j |k_j| in [N/3 - 1, N/3)."""
+    total, shell = _square_sums(u, _ONE, _SHELL)
+    return 0.0 if total == 0.0 else shell / total
 
 
 # -- the moment-inequality monitor ---------------------------------------------
@@ -300,29 +363,37 @@ def blowup_indicator(record: DiagnosticsRecord) -> tuple:
     return tuple(name for name in FLAGS if fired[name])
 
 
-def compute_diagnostics(u: SpectralVectorField, cfg: SolverConfig,
-                        step: int = 0, dt: float = 0.0) -> DiagnosticsRecord:
+def compute_diagnostics(u: SpectralVectorField, cfg: SolverConfig, step: int = 0,
+                        dt: float = 0.0, *, work: StepWorkspace | None = None
+                        ) -> DiagnosticsRecord:
+    """The record of u on `work` (fresh when None); its transforms read the
+    kept columns when u is zero past them (`live_width`)."""
+    work = StepWorkspace(u.lattice) if work is None else work
+    vol, orders = u.lattice.volume, cfg.moment_orders
+    exponents = sorted({m + 1.0 for m in orders if m == int(m)})
+    cols = live_width(u.coeffs, work.width)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _compute_diagnostics(u, cfg, step, dt)
-
-
-def _compute_diagnostics(u, cfg, step, dt):
-    exponents = sorted({m + 1.0 for m in cfg.moment_orders if m == int(m)})
+        production = enstrophy_production(u, work)
+        peak = max_velocity(u)
+        mags, sq = _moduli(work.each, u.coeffs, cols)
+        p_mag = _moduli(work.each, compute_pressure(u, work)[None], cols)[0] if exponents else []
+        viscous = [_Weight("kmod_array", 2.0 * cfg.alpha, 0.0, cfg.nu)] if cfg.nu else []
+        sums = iter(_weighted_sums(work.each, u.lattice.N, cols, [
+            *((w, [sq]) for w in [_ONE, _KSQ, _SHELL, *viscous]),
+            *((_Weight("ksq_array", b, 1.0), [sq]) for b in cfg.sobolev_betas),
+            *((_Weight("kmod_array", m), mags) for m in orders),
+            *((_Weight("kmod_array", j), p_mag) for j in exponents)]))
+    total, ksq_sum, shell = next(sums), next(sums), next(sums)
     # D of an inviscid (nu = 0) run is exactly 0, also where |u|^2 is not finite
+    dissipation = vol * next(sums) if cfg.nu else 0.0
+    sobolev = {b: math.sqrt(vol * next(sums)) for b in cfg.sobolev_betas}
+    by_order = {m: [next(sums) for _ in mags] for m in orders}
     record = DiagnosticsRecord(
-        step=step,
-        t=u.time,
-        dt=dt,
-        energy=energy(u),
-        dissipation_rate=dissipation_rate(u, cfg.alpha, cfg.nu) if cfg.nu else 0.0,
-        enstrophy=enstrophy(u),
-        enstrophy_production=enstrophy_production(u),
-        max_velocity=max_velocity(u),
-        moments=dict(enumerate(moment_sums(u.lattice, u.coeffs, cfg.moment_orders))),
-        sobolev={b: sobolev_norm(u, b) for b in cfg.sobolev_betas},
-        pressure_moments=(moment_sums(u.lattice, [compute_pressure(u)], exponents)[0]
-                          if exponents else {}),
-        tail_fraction=tail_fraction(u),
+        step=step, t=u.time, dt=dt, energy=0.5 * vol * total, dissipation_rate=dissipation,
+        enstrophy=0.5 * vol * ksq_sum, enstrophy_production=production, max_velocity=peak,
+        moments={i: {m: by_order[m][i] for m in orders} for i in range(len(mags))},
+        sobolev=sobolev, pressure_moments={j: next(sums) for j in exponents},
+        tail_fraction=0.0 if total == 0.0 else shell / total,
     )
     return dataclasses.replace(record, flags=blowup_indicator(record))
 

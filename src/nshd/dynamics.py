@@ -8,34 +8,28 @@ dissipative part is handled exactly: with the nonlinearity switched off a
 step reduces to exact exponential decay.  nu = 0 is the inviscid (Euler)
 system, whose symbol is zero.
 
-A state holds the real field's k_n >= 0 half spectrum: the half in memory,
-the full spectrum on disk.  `step` is the only way a state advances, in
-`advance` and in verify's fixed-step loop alike.  It cuts the state to the
-kept columns of the half, the first w columns of the last axis that the
-2/3 rule keeps (w = 22 of 33 at N=64, 11 of 17 at N=32; every column under
-verify's `dealias_off` fault), steps them and cleans them into a fresh
-half whose other columns are zeros.  The columns k_n >= N/3 hold exact
-zeros after every step, so dropping them changes no output byte.  The
-step's arrays (the transform batch, the grid product and the RK4 stages)
-live in a `StepWorkspace` that the stages and the RHS cleanup update in
-place.
-Every `step` call is handed one: `advance` builds one per run, drops it
-before each diagnostics record and builds it again at the next step, and
-verify builds one per integration, with its faults in the lattice and
-symbol it passes.  There is no module-level cache, so threads that each
-advance their own run share nothing.
+A state holds the real field's k_n >= 0 half spectrum (the full spectrum
+only on disk).  `step`, the only way a state advances (in `advance` and in
+verify's fixed-step loop), steps the kept columns, the first w of the half
+that the 2/3 rule keeps (`WavenumberLattice.kept_width`: 22 of 33 at N=64,
+11 of 17 at N=32, every column under verify's `dealias_off` fault), and
+cleans them into a fresh half whose other columns are exact zeros.  Its
+arrays live in a `StepWorkspace`: `advance` builds one per run and keeps it
+through the run's diagnostics records, verify one per integration (its
+faults in the lattice and symbol), a one-off record one per call.  There
+is no module-level cache, so threads that each advance their own run share
+nothing.
 
-The pointwise work of a step runs in k row slabs, cut along the first
-wavenumber (or grid) axis of its arrays: the RHS batch assembly, the grid
-product and the RHS cleanup, the IF-RK4 stage updates and the step's
-divergence cleanup.  Each slab is written by one thread only, and every
-element goes through the same operations in the same order whatever k is,
+The pointwise work runs in k row slabs along the first axis, each written
+by one thread: a step's batch assembly, grid product, cleanups and IF-RK4
+stage updates, and a record's batch assembly, grid products, moduli and
+weighted sums.  Every element goes through the same operations whatever k
+is, and a sum over modes is reduced per row into a fixed array summed once,
 so outputs are byte-identical for every k.  k is the `scipy.fft` worker
-count in force when `advance` starts (`harness` sets it), at most N;
-`advance` owns a `SlabPool` of k - 1 threads for that one run and the
-calling thread runs slab 0.  The `spectral` operators see a slab as a
-lattice and never a row.  The transforms, the finiteness check, `cfl_dt`
-and the diagnostics records stay whole on the calling thread.
+count when `advance` starts (`harness` sets it), at most N; `advance` owns
+a `SlabPool` of k - 1 threads and the calling thread runs slab 0.  The
+`spectral` operators see a slab as a lattice.  The transforms, the
+finiteness check and `cfl_dt` stay whole on the calling thread.
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ from .spectral import (
     gradient_batch,
     grid_to_coeffs,
     leray_project_coeffs,
-    velocity_gradient_grid,
+    live_width,
 )
 
 
@@ -182,59 +176,49 @@ class SlabPool:
 
 
 class StepWorkspace:
-    """The arrays IF-RK4 steps on one lattice reuse, on its kept columns.
+    """The arrays IF-RK4 steps and diagnostics records on one lattice reuse.
 
-    `width` is w, the number of leading k_n >= 0 columns of the last axis
-    that the lattice's dealias mask keeps anywhere: the columns k_n < N/3,
-    or the whole half N//2 + 1 when the mask keeps every mode.  A step
-    holds and computes only those columns, since the rest are zeroed by
-    the 2/3 rule; `kept` cuts a state's half to them, the one layout
-    change of a step.
+    `width` is w, the lattice's `kept_width`: a step holds and computes only
+    those columns of the half, since the 2/3 rule zeroes the rest; `kept`
+    cuts a state's half to them, the one layout change of a step.
 
-    It holds the width-w dissipation symbol, the (n + n^2)-component batch
-    that `nonlinear_rhs` sends to the grid, the real grid array of u.grad u
-    and four width-w stage buffers (RHS output, b + c, stage input,
+    It holds the width-w dissipation symbol (None for a workspace that only
+    serves records), the (n + n^2)-component batch the transforms to the
+    grid consume, the real grid array of u.grad u (a record's products) and
+    four width-w stage buffers (RHS output, b + c, stage input,
     accumulator).  The batch is N//2 + 1 wide, as the complex-to-real pass
-    reads, and zeroed once: each RHS call builds its first w columns afresh
-    and its inverse transform consumes them, while the columns past w are
-    written by nothing and stay zero.
+    reads, and zeroed once: each RHS call and record builds its first w
+    columns afresh, and the columns past w are zero whenever a step starts.
 
     `slabs` cuts the first wavenumber/grid axis into k = min(pool.k, N) row
-    slabs (the first N mod k one row longer), once.  A slab holds its `rows`
-    and the `lattice` arrays the spectral operators read, cut to those rows
-    and the first w columns, and stands in for the lattice in their calls.
-    `each` runs a pointwise kernel on every slab, each written by one thread.
-    The pool is lent by the caller (`advance` keeps one per run); the default
-    runs one slab, the whole array, on the calling thread.
-
-    A workspace is built once and reused across steps by one caller at a
-    time, never shared between callers.  `advance` builds one per run and
-    drops it before each diagnostics record, whose own arrays would otherwise
-    stack on top of it, and builds it again at the next step; verify builds
-    one per integration.  A step's result never lives in the workspace, so
-    it may be fed back as the next step's input.
+    slabs (the first N mod k one row longer), once; a slab holds its `rows`
+    and those rows of the lattice's tables.  `each` runs a pointwise kernel
+    on every slab, each written by one thread.  The pool is lent by the
+    caller (`advance` keeps one per run); the default runs one slab on the
+    calling thread.  One caller at a time uses a workspace.  A step's result
+    never lives in it, so it may be fed back as the next step's input.
     """
 
-    def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray,
+    def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray | None = None,
                  pool: SlabPool | None = None):
-        n, N = lattice.n, lattice.N
-        kept = lattice.dealias_mask_array.any(axis=tuple(range(n - 1)))
-        w = self.width = int(np.flatnonzero(kept)[-1]) + 1
+        n = lattice.n
+        w = self.width = lattice.kept_width
         self.lattice = lattice
-        self.symbol = np.ascontiguousarray(symbol[..., :w])  # any width of at least w
+        self.symbol = None if symbol is None else np.ascontiguousarray(symbol[..., :w])
         self.batch = np.zeros((n + n * n,) + lattice.half_shape, dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
         self.stages = np.empty((4, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
         self.pool = SlabPool() if pool is None else pool
-        k = min(self.pool.k, N)  # no empty slab, no idle thread
-        q, r = divmod(N, k)
+        k = min(self.pool.k, lattice.N)  # no empty slab, no idle thread
+        q, r = divmod(lattice.N, k)
         edges = [i * q + min(i, r) for i in range(k + 1)]
         # a sparse mode grid keeps its broadcast (length 1) first axis whole
-        cut = lambda a, rows: a[(rows if a.shape[0] > 1 else slice(None), ..., slice(w))]
-        self.slabs = [SimpleNamespace(rows=rows, n=n, N=N,
+        cut = lambda a, rows: a[rows] if a.shape[0] > 1 else a
+        self.slabs = [SimpleNamespace(rows=rows, n=n, N=lattice.N,
                                       mode_grids=tuple(cut(g, rows) for g in lattice.mode_grids),
-                                      inv_ksq_array=cut(lattice.inv_ksq_array, rows),
-                                      dealias_mask_array=cut(lattice.dealias_mask_array, rows))
+                                      **{name: cut(getattr(lattice, name), rows) for name in
+                                         ("kmax_array", "kmod_array", "ksq_array",
+                                          "inv_ksq_array", "dealias_mask_array")})
                       for rows in map(slice, edges, edges[1:])]
 
     def each(self, fn) -> None:
@@ -300,18 +284,52 @@ def nonlinear_rhs(coeffs: np.ndarray, work: StepWorkspace,
     return out
 
 
-def compute_pressure(u: SpectralVectorField) -> np.ndarray:
+def gradient_grid(work: StepWorkspace, coeffs: np.ndarray, cols: int, curl: bool = False):
+    """(omega, grad u) on the grid, `grad[i, j] = d_j u_i`, from one inverse
+    transform that consumes `work.batch` on the first `cols` columns: the
+    `gradient_batch` of the half `coeffs` in its last n^2 components and,
+    with `curl` (3D), omega_i = d_j u_k - d_k u_j from those in the first 3,
+    all built on the row slabs; omega is empty without.  Past the kept
+    width the batch is left zero for the next step.
+    """
+    n, w = work.lattice.n, work.width
+    lead = 3 if curl else 0
+    batch = work.batch[n - lead :]
+    part = batch[..., :cols]
+
+    def build(s):
+        b = part[:, s.rows]
+        gradient_batch(s, coeffs[:, s.rows], batch=b[lead:])
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))[:lead]):
+            np.subtract(b[lead + 3 * k + j], b[lead + 3 * j + k], out=b[i])
+
+    work.each(build)
+    phys = coeffs_to_grid(batch, n, overwrite=True, width=cols)
+    work.batch[..., w:cols] = 0.0
+    return phys[:lead], phys[lead:].reshape((n, n) + work.lattice.shape)
+
+
+def compute_pressure(u: SpectralVectorField, work: StepWorkspace | None = None) -> np.ndarray:
     """Spectral pressure from the Poisson equation -lap(p) = Tr (grad u)^2.
 
     Tr (grad u)^2 = sum_{i,j} (d_i u_j)(d_j u_i) is formed pseudo-spectrally
-    and dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0,
-    on the k_n >= 0 half.
+    (`gradient_grid` in `work.batch[n:]`, the trace in `work.conv[0]`, on a
+    fresh workspace when None) from the columns `live_width` reads, and
+    dealiased; p_hat(k) = g_hat(k)/|k|^2 for k != 0 and p_hat(0) = 0, on
+    the k_n >= 0 half.
     """
     lat = u.lattice
-    _, grad = velocity_gradient_grid(lat, u.coeffs)
-    trace = np.einsum("ij...,ji...->...", grad, grad)
-    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n))
-    return g_hat * lat.inv_ksq_array
+    work = StepWorkspace(lat) if work is None else work
+    cols = live_width(u.coeffs, work.width)
+    grad = gradient_grid(work, u.coeffs, cols)[1]
+    trace = work.conv[0]
+    work.each(lambda s: np.einsum("ij...,ji...->...", grad[:, :, s.rows], grad[:, :, s.rows],
+                                  out=trace[s.rows]))
+    del grad
+    p_hat = np.zeros(lat.half_shape, dtype=np.complex128)
+    g_hat = dealias_coeffs(lat, grid_to_coeffs(trace, lat.n, width=cols))
+    np.multiply(g_hat, lat.inv_ksq_array[..., :cols], out=p_hat[..., :cols])
+    return p_hat
 
 
 def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
@@ -411,8 +429,11 @@ def cfl_dt(u: SpectralVectorField, cfg: SolverConfig) -> float:
     """Advective CFL step: cfl_safety * dx / max_i ||u_i||_inf, capped at dt_max.
 
     Dissipation imposes no restriction (the integrating factor is exact).
+    The transform takes the kept columns when u holds zeros past them.
     """
-    vmax = float(np.max(np.abs(coeffs_to_grid(u.coeffs, u.lattice.n))))
+    lat = u.lattice
+    grid = coeffs_to_grid(u.coeffs, lat.n, width=live_width(u.coeffs, lat.kept_width))
+    vmax = float(np.max(np.abs(grid)))
     if vmax == 0.0 or not np.isfinite(vmax):
         return cfg.dt_max
     return min(cfg.dt_max, cfg.cfl_safety * u.lattice.dx / vmax)
@@ -430,23 +451,17 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
     lat = state.u.lattice
-    symbol = dissipation_symbol(lat, cfg.alpha, cfg.nu)
-    work = None
 
     def emit(st, dt_last):
-        nonlocal work
         if sink is not None:
-            work = None  # a record's arrays would stack on the workspace's
-            sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last))
+            sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last, work=work))
 
     with SlabPool(scipy.fft.get_workers()) as pool:
+        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
         emit(state, 0.0)
         eps = 1e-14 * max(1.0, cfg.t_end)
         while state.t < cfg.t_end - eps:
             dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
-            if work is None:
-                work = StepWorkspace(lat, symbol, pool)
-                symbol = work.symbol  # a rebuild reads only the kept columns
             try:
                 state = step(state, dt, work)
             except Diverged:

@@ -15,10 +15,12 @@ file, and `mode_sum` turns a sum over the half into the sum over every mode.
 The lattice's tables (`kmod_array` and the others) hold the same half,
 `half_shape`, and its last sparse mode grid the half's columns.  The
 transforms take the half, and a keyword-only `width` for arrays whose
-columns from `width` on are zero, as the 2/3 rule leaves them: the complex
-passes then skip those columns, and every computed column keeps its bytes.
-The array-level operators (`gradient_batch`, `dealias_coeffs`,
-`leray_project_coeffs`) take any width of the half.
+columns from `width` on are zero, as the 2/3 rule leaves them (the first
+`kept_width` columns; `live_width` tests a field): the complex passes then
+skip those columns, and every computed column keeps its bytes.  The
+array-level operators (`gradient_batch`, `dealias_coeffs`,
+`leray_project_coeffs`) take any width of the half, and the rows of a
+lattice as well as the whole: a step's row slab stands in for the lattice.
 
 The module also holds ConfigError and the grid bounds (`check_grid`), since
 it is the lowest module the config dataclasses import.
@@ -131,6 +133,18 @@ class WavenumberLattice:
         return self.shape[:-1] + (self.N // 2 + 1,)
 
     @property
+    def rows(self) -> slice:
+        """All rows of the first axis: the lattice is its own one row slab."""
+        return slice(0, self.N)
+
+    @functools.cached_property
+    def kept_width(self) -> int:
+        """w: the leading k_n >= 0 columns that the dealias mask keeps anywhere,
+        k_n < N/3 (22 of 33 at N=64), or N//2 + 1 when it keeps every mode."""
+        kept = self.dealias_mask_array.any(axis=tuple(range(self.n - 1)))
+        return int(np.flatnonzero(kept)[-1]) + 1
+
+    @property
     def dx(self) -> float:
         return TWO_PI / self.N
 
@@ -230,6 +244,12 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int, *, overwrite: bool = False,
     return _fft.irfft(work, n=N, axis=-1, norm="forward")
 
 
+def live_width(coeffs: np.ndarray, w: int) -> int:
+    """The columns a transform of the half `coeffs` must read: w when its
+    columns from w on hold zeros, else all of them."""
+    return w if not coeffs[..., w:].any() else coeffs.shape[-1]
+
+
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     """Hermitian completion of a k_n >= 0 half spectrum: the checkpoint file's layout.
 
@@ -275,22 +295,6 @@ def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
         for j in range(n):
             np.multiply(ik[j], c, out=batch[m + n * i + j])
     return batch
-
-
-def velocity_gradient_grid(lattice: WavenumberLattice, coeffs: np.ndarray,
-                           lead: np.ndarray | None = None):
-    """Grid values of `lead` and of grad u, from one inverse transform.
-
-    Returns `(lead_values, grad)` with `grad[i, j] = d_j u_i`, from the
-    `gradient_batch` of m + n^2 components (m = len(lead), 0 when lead is
-    None), which holds only the k_n >= 0 half that `coeffs_to_grid` reads.
-    The batch is built here and read by nothing else, so the transform
-    consumes it.
-    """
-    n = lattice.n
-    m = 0 if lead is None else len(lead)
-    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n, overwrite=True)
-    return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
 
 
 # -- operators ----------------------------------------------------------------

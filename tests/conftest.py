@@ -8,7 +8,13 @@ import pytest
 
 from nshd.dynamics import StepWorkspace, dissipation_symbol, nonlinear_rhs
 from nshd.initial_conditions import InitialConditionSpec, random_band_limited
-from nshd.spectral import SpectralVectorField, build_lattice, leray_project_coeffs
+from nshd.spectral import (
+    SpectralVectorField,
+    build_lattice,
+    coeffs_to_grid,
+    gradient_batch,
+    leray_project_coeffs,
+)
 
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None,
@@ -92,6 +98,16 @@ class FullDisk:
 def mean_mode(u):
     """The k = 0 coefficient of every component."""
     return u.coeffs[(slice(None),) + (0,) * u.lattice.n]
+
+
+def velocity_gradient_grid(lattice, coeffs, lead=None):
+    """Grid values of `lead` and of grad u from one inverse transform of a
+    fresh whole-half `gradient_batch`: `(lead_values, grad)`, `grad[i, j] =
+    d_j u_i`.  The out-of-place oracle of the solver's workspace batches."""
+    n = lattice.n
+    m = 0 if lead is None else len(lead)
+    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n, overwrite=True)
+    return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
 
 
 # -- full-lattice oracles: every mode of the N^n lattice, not the k_n >= 0 half --

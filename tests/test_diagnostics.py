@@ -83,7 +83,8 @@ def test_moment_one_homogeneous(c, m):
 
 @pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
 def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
-    # the per-component velocity and the pressure moment, written out on the half
+    # the per-component velocity and the pressure moment, written out on the
+    # half; the weighted-sum kernel sums in another order, so to round-off
     orders = (0.0, 1.0, 2.0, 2.5)
     lat = build_lattice(n, N)
     for u in (make_random_field(n=n, N=N, seed=56, band=(1, 4)), zero_field(lat)):
@@ -94,8 +95,10 @@ def test_moment_sums_match_the_component_and_pressure_formulas(n, N):
         for m in orders:
             weights = lat.kmod_array ** float(m)
             for i in range(n):
-                assert sums[i][m] == mode_sum(weights * np.abs(u.coeffs[i]))
-            assert pressure[0][m] == mode_sum(weights * np.abs(p_hat))
+                assert sums[i][m] == pytest.approx(mode_sum(weights * np.abs(u.coeffs[i])),
+                                                   rel=1e-14, abs=0)
+            assert pressure[0][m] == pytest.approx(mode_sum(weights * np.abs(p_hat)),
+                                                   rel=1e-14, abs=0)
 
 
 def test_enstrophy_taylor_green():
@@ -119,19 +122,24 @@ def test_enstrophy_equals_gradient_norm_for_divergence_free():
 
 @pytest.mark.parametrize("n,calls", [(2, 0), (3, 1)])
 def test_a_record_builds_the_vorticity_once_in_3d_and_never_in_2d(monkeypatch, n, calls):
-    seen = []
-    original = spectral.vorticity
+    # the production's whole batch leads with omega, built from the gradient
+    # components beside it: `spectral.vorticity` on the columns it transforms
+    u = make_random_field(n=n, N=16, seed=59, band=(1, 4))
+    omega, leads = spectral.vorticity(u), []
+    original = spectral.coeffs_to_grid
 
-    def spy(u):
-        seen.append(u)
-        return original(u)
+    def spy(values, n_, **kwargs):
+        if len(values) == n + n * n:
+            leads.append(values[:n, ..., : kwargs["width"]].copy())
+        return original(values, n_, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("nshd") and getattr(module, "vorticity", None) is original:
-            monkeypatch.setattr(module, "vorticity", spy)
-    u = make_random_field(n=n, N=16, seed=59, band=(1, 4))
+        if name.startswith("nshd") and getattr(module, "coeffs_to_grid", None) is original:
+            monkeypatch.setattr(module, "coeffs_to_grid", spy)
     compute_diagnostics(u, SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0))
-    assert len(seen) == calls
+    assert len(leads) == calls
+    for lead in leads:
+        assert np.array_equal(lead, omega[..., : lead.shape[-1]])
 
 
 def test_production_zero_in_2d():
@@ -465,3 +473,20 @@ def test_csv_columns_hold_the_record_values_they_name(n, moment_orders, sobolev_
     assert int(cells[0]) == rec.step == 7
     for name, cell in zip(names[1:-1], cells[1:-1]):
         assert float(cell) == named_value(rec, name), name
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_csv_numbers_are_plain_float_reprs(n, N):
+    # every number cell is the repr of a Python float (never "np.float64(...)"),
+    # which float() parses back to the same value
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=1.0,
+                       moment_orders=(0, 1, 2.5), sobolev_betas=(0, 1.5))
+    u = make_random_field(n=n, N=N, seed=62, band=(1, 5))
+    records = [compute_diagnostics(u, cfg, step=3, dt=0.125)]
+    advance(SolverState(u=u), dataclasses.replace(cfg, t_end=2e-3, dt_max=1e-3),
+            records.append)
+    for rec in records:
+        cells = csv_row(rec, cfg).split(",")[1:-1]
+        assert len(cells) == 8 + n * len(cfg.moment_orders) + len(cfg.sobolev_betas)
+        for cell in cells:
+            assert cell == repr(float(cell)), cell

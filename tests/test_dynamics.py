@@ -8,8 +8,9 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+import nshd.diagnostics as diagnostics
 import nshd.dynamics as dynamics
-from nshd.diagnostics import energy, enstrophy_production
+from nshd.diagnostics import compute_diagnostics, energy, enstrophy_production
 from nshd.dynamics import (
     Diverged,
     SolverConfig,
@@ -35,7 +36,6 @@ from nshd.spectral import (
     grid_to_coeffs,
     hermitian_defect,
     leray_project_coeffs,
-    velocity_gradient_grid,
     vorticity,
 )
 
@@ -47,6 +47,7 @@ from conftest import (
     mean_mode,
     rhs_half,
     rhs_workspace,
+    velocity_gradient_grid,
     workspace_for,
     zero_field,
 )
@@ -439,7 +440,9 @@ def test_rhs_and_steps_leave_their_input_alone(n, N):
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 @pytest.mark.parametrize("stride, records", [(1, 8), (3, 4)])
 def test_advance_ends_byte_equal_to_steps_without_a_workspace(n, N, stride, records):
-    # the two strides drop and rebuild advance's workspace at different steps
+    # advance keeps one workspace through its steps and records; the records
+    # of the two strides (after every step, after every third) transform in
+    # its batch between different steps, and no step may see it
     u0 = make_random_field(n=n, N=N, seed=44, band=(1, 5))
     cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.05, t_end=0.02, dt_max=3e-3,
                        diag_stride=stride)
@@ -456,7 +459,9 @@ def test_advance_ends_byte_equal_to_steps_without_a_workspace(n, N, stride, reco
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
 def test_batch_columns_past_the_kept_width_stay_zero(monkeypatch, n, N):
     # nothing writes them: not the batch assembly, not the inverse transform
-    # that consumes the kept columns, not the complex-to-real pass
+    # that consumes the kept columns, not the complex-to-real pass, and not
+    # the records, which run on the same workspace (a record after every step,
+    # or only the first and last)
     built = []
 
     class Recorded(StepWorkspace):
@@ -465,15 +470,70 @@ def test_batch_columns_past_the_kept_width_stay_zero(monkeypatch, n, N):
             built.append(self)
 
     monkeypatch.setattr(dynamics, "StepWorkspace", Recorded)
-    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=3e-3, dt_max=1e-3,
-                       diag_stride=10**9)
-    final = advance(SolverState(u=make_random_field(n=n, N=N, seed=47, band=(1, 5))), cfg)
-    assert final.step_count == 3 and len(built) == 1
-    work = built[0]
-    assert work.width == math.ceil(N / 3) < N // 2 + 1
-    assert np.any(work.batch[..., : work.width])  # the consumed kept columns
-    tail = work.batch[..., work.width :]
+    monkeypatch.setattr(diagnostics, "StepWorkspace", Recorded)
+    for stride, records in ((10**9, 2), (1, 4)):
+        del built[:]
+        cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=3e-3, dt_max=1e-3,
+                           diag_stride=stride)
+        emitted = []
+        final = advance(SolverState(u=make_random_field(n=n, N=N, seed=47, band=(1, 5))),
+                        cfg, emitted.append)
+        assert final.step_count == 3 and len(emitted) == records and len(built) == 1
+        work = built[0]
+        assert work.width == math.ceil(N / 3) < N // 2 + 1
+        assert np.any(work.batch[..., : work.width])  # the consumed kept columns
+        tail = work.batch[..., work.width :]
+        assert tail.tobytes() == bytes(tail.nbytes)
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_a_record_past_the_kept_width_leaves_the_next_step_alone(n, N):
+    # a record of a field with modes past the kept width w transforms the
+    # whole half in the workspace's batch; it zeroes the batch's columns past
+    # w again, and the next step on that workspace is the step on a fresh one
+    u = make_random_field(n=n, N=N, seed=49, band=(1, 5))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=1.0)
+    work = workspace_for(u, cfg)
+    w = work.width
+    wide = u.coeffs.copy()
+    wide[(0,) + (1,) * (n - 1) + (w,)] = 0.25  # a mode no step keeps
+    compute_diagnostics(u.with_coeffs(wide), cfg, work=work)
+    tail = work.batch[..., w:]
     assert tail.tobytes() == bytes(tail.nbytes)
+    want = step(SolverState(u=u), 1e-3, workspace_for(u, cfg)).u.coeffs
+    assert step(SolverState(u=u), 1e-3, work).u.coeffs.tobytes() == want.tobytes()
+    # a diverged run's record: not a finite number anywhere
+    compute_diagnostics(u.with_coeffs(u.coeffs * np.nan), cfg, work=work)
+    assert tail.tobytes() == bytes(tail.nbytes)
+    assert step(SolverState(u=u), 1e-3, work).u.coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 16)])
+def test_a_record_allocates_no_more_than_a_rhs(n, N):
+    # with the run's workspace passed, a record's transient arrays (numpy
+    # reports them to tracemalloc) peak no higher than one RHS call's
+    u = make_random_field(n=n, N=N, seed=50, band=(1, 4))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, t_end=1.0)
+    work = workspace_for(u, cfg)
+    coeffs = work.kept(u.coeffs)
+    runs = {"rhs": lambda: nonlinear_rhs(coeffs, work),
+            "record": lambda: compute_diagnostics(u, cfg, work=work)}
+    for run in runs.values():  # the first calls touch the workspace
+        run()
+    peaks = {}
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            tracemalloc.reset_peak()
+            live, _ = tracemalloc.get_traced_memory()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 0 < peaks["record"] <= peaks["rhs"], peaks
 
 
 def test_a_step_never_drops_a_nonzero_mode():

@@ -12,6 +12,7 @@ import pytest
 import scipy.fft
 
 import nshd.dynamics as dynamics
+from nshd import diagnostics
 from nshd.dynamics import (
     SlabPool,
     SolverConfig,
@@ -56,6 +57,32 @@ def test_outputs_do_not_depend_on_the_slab_count(n, N):
     one = slab_outputs(u, cfg, 1)
     for k in (2, 3):
         assert slab_outputs(u, cfg, k) == one
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_a_record_does_not_depend_on_the_slab_count(n, N):
+    # its sums are reduced per first-axis row into a fixed array, summed once;
+    # the one-slab public functions give the record's own numbers
+    u = make_random_field(n=n, N=N, seed=50, band=(1, 5))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.1, t_end=1.0,
+                       moment_orders=(0, 1, 2.5), sobolev_betas=(0, 1.5))
+    rows = set()
+    for k in (1, 2, 3):
+        with SlabPool(k) as pool:
+            work = StepWorkspace(u.lattice, None, pool)
+            assert len(work.slabs) == k
+            record = diagnostics.compute_diagnostics(u, cfg, work=work)
+        rows.add(diagnostics.csv_row(record, cfg))
+    assert len(rows) == 1
+    assert record.energy == diagnostics.energy(u)
+    assert record.dissipation_rate == diagnostics.dissipation_rate(u, cfg.alpha, cfg.nu)
+    assert record.enstrophy == diagnostics.enstrophy(u)
+    assert record.enstrophy_production == diagnostics.enstrophy_production(u)
+    assert record.max_velocity == diagnostics.max_velocity(u)
+    assert record.sobolev == {b: diagnostics.sobolev_norm(u, b) for b in cfg.sobolev_betas}
+    assert record.moments == dict(enumerate(diagnostics.moment_sums(u.lattice, u.coeffs,
+                                                                    cfg.moment_orders)))
+    assert record.tail_fraction == diagnostics.tail_fraction(u)
 
 
 def test_more_slabs_than_cores_under_fast_thread_switching():

@@ -100,13 +100,12 @@ def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n)
 @pytest.mark.parametrize("n, record_batches", [(2, 1), (3, 2)])
 def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     # overwrite=True hands coeffs_to_grid its input as scratch: only the step
-    # workspace's batch and a record's fresh gradient batches (the pressure's,
-    # and the production's in 3D) may go that way, never a state's coefficients;
-    # and only the step's own transforms, its batch and its forward pass, run
-    # on the kept width
-    consumed, built, narrowed = [], [], []
+    # workspace's batch may go that way, for the step and for a record's
+    # gradient batches (the pressure's, and the production's in 3D), never a
+    # state's coefficients; the state is zero past the kept width, so the
+    # step, the CFL check and the record all transform its kept columns
+    consumed, narrowed = [], []
     inverse, forward = spectral.coeffs_to_grid, spectral.grid_to_coeffs
-    batch = spectral.gradient_batch
 
     def spy_inverse(values, n, **kwargs):
         if kwargs.get("overwrite"):
@@ -120,13 +119,8 @@ def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
             narrowed.append(("forward", values, kwargs["width"]))
         return forward(values, n, **kwargs)
 
-    def spy_batch(*args, **kwargs):
-        built.append(batch(*args, **kwargs))
-        return built[-1]
-
     patch_everywhere(monkeypatch, inverse, spy_inverse)
     patch_everywhere(monkeypatch, forward, spy_forward)
-    patch_everywhere(monkeypatch, batch, spy_batch)
     cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0)
     state = SolverState(u=make_random_field(n=n, N=16, seed=44, band=(1, 4)))
     before = state.u.coeffs.copy()
@@ -138,12 +132,13 @@ def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     assert all(v is (work.batch if kind == "inverse" else work.conv)
                for kind, v, _ in narrowed)
     consumed.clear()
-    built.clear()
     narrowed.clear()
     cfl_dt(state.u, cfg)
     assert not consumed
-    compute_diagnostics(state.u, cfg)
+    assert [(kind, v is state.u.coeffs, w) for kind, v, w in narrowed] == [("inverse", True, 6)]
+    narrowed.clear()
+    compute_diagnostics(state.u, cfg, work=work)
     assert len(consumed) == record_batches
-    assert all(any(v is b for b in built) for v in consumed)
-    assert not narrowed
+    assert all(v.base is work.batch for v in consumed)
+    assert {w for _, _, w in narrowed} == {6} and len(narrowed) == record_batches + 2
     assert state.u.coeffs.tobytes() == before.tobytes()
