@@ -94,14 +94,15 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read and validate a UTF-8 JSON config file.
 
-    A missing file raises FileNotFoundError; a directory, bytes that are not
-    UTF-8, malformed JSON and JSON nested deeper than the parser's recursion
-    limit raise ConfigError.
+    A path that cannot be opened or read (any OSError: a missing file, a
+    directory, a path under a regular file, a name too long), bytes that
+    are not UTF-8, malformed JSON and JSON nested deeper than the parser's
+    recursion limit raise ConfigError("<file>", ...).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<file>", str(exc)) from exc
     except RecursionError as exc:
         raise ConfigError("<file>", "JSON nested too deeply") from exc

@@ -26,8 +26,8 @@ stage updates, and a record's batch assembly, grid products, moduli and
 weighted sums.  Every element goes through the same operations whatever k
 is, and a sum over modes is reduced per row into a fixed array summed once,
 so outputs are byte-identical for every k.  k is the `scipy.fft` worker
-count when `advance` starts (`harness` sets it), at most N; `advance` owns
-a `SlabPool` of k - 1 threads and the calling thread runs slab 0.  The
+count when `advance` starts (`harness` sets it), at most N; the run's
+workspace owns k - 1 threads and the calling thread runs slab 0.  The
 `spectral` operators see a slab as a lattice.  The transforms, the
 finiteness check and `cfl_dt` stay whole on the calling thread.
 """
@@ -138,43 +138,6 @@ def dissipation_symbol(lattice: WavenumberLattice, alpha: float, nu: float) -> n
     return nu * lattice.kmod_array ** (2.0 * alpha)
 
 
-class SlabPool:
-    """The threads that run k row slabs: k - 1 pool threads and the caller.
-
-    A context manager; leaving it shuts the pool threads down.  k = 1
-    starts no thread.
-    """
-
-    def __init__(self, k: int = 1):
-        self.k = k
-        self._pool = (ThreadPoolExecutor(max_workers=k - 1, thread_name_prefix="nshd-slab")
-                      if k > 1 else None)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def run(self, fn, slabs) -> None:
-        """fn(slab) for each slab, slab 0 on the calling thread.
-
-        Returns once every slab is done and re-raises the first error.  Each
-        pool task runs in a copy of the caller's context, so a slab sees the
-        caller's `np.errstate`.
-        """
-        futures = [self._pool.submit(contextvars.copy_context().run, fn, slab)
-                   for slab in slabs[1:]]
-        try:
-            fn(slabs[0])
-        finally:
-            for f in futures:  # no slab may still be writing once this returns
-                f.exception()  # waits, and leaves the raising to result()
-        for f in futures:
-            f.result()
-
-
 class StepWorkspace:
     """The arrays IF-RK4 steps and diagnostics records on one lattice reuse.
 
@@ -190,17 +153,18 @@ class StepWorkspace:
     reads, and zeroed once: each RHS call and record builds its first w
     columns afresh, and the columns past w are zero whenever a step starts.
 
-    `slabs` cuts the first wavenumber/grid axis into k = min(pool.k, N) row
-    slabs (the first N mod k one row longer), once; a slab holds its `rows`
-    and those rows of the lattice's tables.  `each` runs a pointwise kernel
-    on every slab, each written by one thread.  The pool is lent by the
-    caller (`advance` keeps one per run); the default runs one slab on the
-    calling thread.  One caller at a time uses a workspace.  A step's result
+    It cuts the first wavenumber/grid axis into k = min(slabs, N) row slabs
+    (the first N mod k one row longer), once; each of `self.slabs` holds
+    its `rows` and those rows of the lattice's tables.  `each` runs a
+    pointwise kernel on every slab, each written by one thread: slab 0 by
+    the caller, the others by the workspace's own k - 1 threads.  A context
+    manager; leaving it shuts those threads down (k = 1, the default,
+    starts none).  One caller at a time uses a workspace.  A step's result
     never lives in it, so it may be fed back as the next step's input.
     """
 
     def __init__(self, lattice: WavenumberLattice, symbol: np.ndarray | None = None,
-                 pool: SlabPool | None = None):
+                 slabs: int = 1):
         n = lattice.n
         w = self.width = lattice.kept_width
         self.lattice = lattice
@@ -208,8 +172,9 @@ class StepWorkspace:
         self.batch = np.zeros((n + n * n,) + lattice.half_shape, dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
         self.stages = np.empty((4, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
-        self.pool = SlabPool() if pool is None else pool
-        k = min(self.pool.k, lattice.N)  # no empty slab, no idle thread
+        k = min(slabs, lattice.N)  # no empty slab, no idle thread
+        self._pool = (ThreadPoolExecutor(max_workers=k - 1, thread_name_prefix="nshd-slab")
+                      if k > 1 else None)
         q, r = divmod(lattice.N, k)
         edges = [i * q + min(i, r) for i in range(k + 1)]
         # a sparse mode grid keeps its broadcast (length 1) first axis whole
@@ -221,9 +186,29 @@ class StepWorkspace:
                                           "inv_ksq_array", "dealias_mask_array")})
                       for rows in map(slice, edges, edges[1:])]
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
     def each(self, fn) -> None:
-        """fn(slab) for every row slab, on the pool's threads."""
-        self.pool.run(fn, self.slabs)
+        """fn(slab) for every row slab, slab 0 on the calling thread.
+
+        Returns once every slab is done and re-raises the first error.  Each
+        other slab runs in a copy of the caller's context, so it sees the
+        caller's `np.errstate`.
+        """
+        futures = [self._pool.submit(contextvars.copy_context().run, fn, slab)
+                   for slab in self.slabs[1:]]
+        try:
+            fn(self.slabs[0])
+        finally:
+            for f in futures:  # no slab may still be writing once this returns
+                f.exception()  # waits, and leaves the raising to result()
+        for f in futures:
+            f.result()
 
     def kept(self, coeffs: np.ndarray) -> np.ndarray:
         """A contiguous copy of the first `width` columns of a k_n >= 0 half.
@@ -332,53 +317,50 @@ def compute_pressure(u: SpectralVectorField, work: StepWorkspace | None = None) 
     return p_hat
 
 
-def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
-                stages: np.ndarray | None = None, each=None) -> np.ndarray:
-    """One integrating-factor RK4 step on raw coefficients.
+def if_rk4_step(coeffs: np.ndarray, dt: float, rhs, work: StepWorkspace) -> np.ndarray:
+    """One integrating-factor RK4 step of the kept columns `coeffs` on `work`.
 
-    `symbol` is the dissipative symbol nu |k|^(2*alpha); `rhs(c, out)` writes
-    the nonlinear tendency at c into out and leaves c unchanged.  The stages
-    run in place in the four arrays of `stages`, each shaped like coeffs
-    (fresh ones when None), with the operation order of
-    e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d).  Between the RHS
-    calls, `each(kernel)` runs the stage arithmetic as kernel(rows) on
-    first-axis row slabs; by default one slab, the whole array.  `coeffs`
-    is not written and the result is a new array.  Exact when rhs == 0.
+    The dissipative symbol nu |k|^(2*alpha) is `work.symbol`; `rhs(c, out)`
+    writes the nonlinear tendency at c into out and leaves c unchanged.  The
+    stages run in place in `work.stages` with the operation order of
+    e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d), their arithmetic
+    on the workspace's row slabs.  `coeffs` is not written; the result is a
+    new array.  Exact when rhs == 0.
     """
-    if stages is None:
-        stages = np.empty((4,) + coeffs.shape, dtype=np.complex128)
-    if each is None:
-        each = lambda kernel: kernel(slice(None))
-    r, bc, u, acc = stages
+    r, bc, u, acc = work.stages
     h = 0.5 * dt
-    e_half, e_full = np.empty((2,) + symbol.shape)
+    e_half, e_full = np.empty((2,) + work.symbol.shape)
     new = np.empty(coeffs.shape, dtype=np.complex128)
 
-    # each kernel works on the row slab s of every array, through views made once
-    def b_input(s):  # e_half (coeffs + h a), and e_full a into the accumulator
+    # each kernel works on the rows s of one slab of every array, through views made once
+    def b_input(slab):  # e_half (coeffs + h a), and e_full a into the accumulator
+        s = slab.rows
         c_s, a_s, u_s, acc_s = coeffs[:, s], r[:, s], u[:, s], acc[:, s]
         eh, ef = e_half[s], e_full[s]
-        np.exp(-0.5 * dt * symbol[s], out=eh)
+        np.exp(-0.5 * dt * work.symbol[s], out=eh)
         np.multiply(eh, eh, out=ef)
         np.multiply(h, a_s, out=u_s)
         np.add(c_s, u_s, out=u_s)
         np.multiply(eh, u_s, out=u_s)
         np.multiply(ef, a_s, out=acc_s)
 
-    def c_input(s):  # e_half coeffs + h b
+    def c_input(slab):  # e_half coeffs + h b
+        s = slab.rows
         b_s, hb_s, u_s = bc[:, s], r[:, s], u[:, s]
         np.multiply(h, b_s, out=hb_s)
         np.multiply(e_half[s], coeffs[:, s], out=u_s)
         np.add(u_s, hb_s, out=u_s)
 
-    def d_input(s):  # e_full coeffs + dt e_half c, and b + c
+    def d_input(slab):  # e_full coeffs + dt e_half c, and b + c
+        s = slab.rows
         bc_s, c_s, u_s = bc[:, s], r[:, s], u[:, s]
         np.add(bc_s, c_s, out=bc_s)
         np.multiply(dt * e_half[s], c_s, out=c_s)
         np.multiply(e_full[s], coeffs[:, s], out=u_s)
         np.add(u_s, c_s, out=u_s)
 
-    def combine(s):
+    def combine(slab):
+        s = slab.rows
         bc_s, d_s, acc_s, new_s = bc[:, s], r[:, s], acc[:, s], new[:, s]
         np.multiply(2.0 * e_half[s], bc_s, out=bc_s)
         np.add(acc_s, bc_s, out=acc_s)
@@ -389,13 +371,13 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, symbol: np.ndarray, rhs,
 
     with np.errstate(over="ignore", invalid="ignore"):
         rhs(coeffs, r)  # a
-        each(b_input)
+        work.each(b_input)
         rhs(u, bc)  # b
-        each(c_input)
+        work.each(c_input)
         rhs(u, r)  # c
-        each(d_input)
+        work.each(d_input)
         rhs(u, r)  # d
-        each(combine)
+        work.each(combine)
     return new
 
 
@@ -412,8 +394,7 @@ def step(state: SolverState, dt: float, work: StepWorkspace) -> SolverState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     rhs = lambda c, out: nonlinear_rhs(c, work, out)
-    new = if_rk4_step(work.kept(state.u.coeffs), dt, work.symbol, rhs, work.stages,
-                      lambda kernel: work.each(lambda s: kernel(s.rows)))
+    new = if_rk4_step(work.kept(state.u.coeffs), dt, rhs, work)
     half = np.zeros(state.u.coeffs.shape, dtype=np.complex128)
     kept = half[..., : work.width]
     # divergence cleanup: cheap, stops projection drift from accumulating
@@ -445,8 +426,8 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     Records are emitted at the initial state, every cfg.diag_stride steps and
     at t_end.  A divergence emits a final record flagged `diverged` and stops
     cleanly instead of raising.  The steps run in as many row slabs as
-    `scipy.fft` has workers when the call starts, on a `SlabPool` that is
-    shut down before the call returns or raises.
+    `scipy.fft` has workers when the call starts, on the threads of a
+    `StepWorkspace` that shuts them down before the call returns or raises.
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
@@ -456,8 +437,8 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
         if sink is not None:
             sink(compute_diagnostics(st.u, cfg, step=st.step_count, dt=dt_last, work=work))
 
-    with SlabPool(scipy.fft.get_workers()) as pool:
-        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
+    with StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu),
+                       scipy.fft.get_workers()) as work:
         emit(state, 0.0)
         eps = 1e-14 * max(1.0, cfg.t_end)
         while state.t < cfg.t_end - eps:

@@ -27,8 +27,12 @@ Threads are decided here and nowhere else.  The budget is `NSHD_THREADS`
 (a positive integer) if set, else the usable CPUs, and never more than the
 usable CPUs.  `run_config` and `scale_check` step inside
 `scipy.fft.set_workers(k)`: k is the budget on lattices of at least
-FFT_THREAD_POINTS = 2^18 points (3D N >= 64, 2D N >= 512) and 1 below, where
-two pocketfft workers measured slower than one.  `sweep` runs
+FFT_THREAD_POINTS = 2^18 points (3D N >= 64, 2D N >= 512) and 1 below.  Two
+pocketfft workers measured slower than one below 2^18 points before the row
+slabs put a step's pointwise work on the second core too; since then, steps
+at 2D N=256 and 3D N=48 on 2 workers and 2 slabs won 5 of 5 alternating
+rounds against 1 and 1 on a 2-vCPU VM (ROADMAP item 15).  The gate moves
+once a 3D N=48 benchmark workload measures the crossover.  `sweep` runs
 min(alphas, budget) alphas at once and gives each run budget // that many
 FFT workers, so alpha threads x FFT workers never exceeds the budget.
 Everything else, the verify suite included, keeps scipy's default of one

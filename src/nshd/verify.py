@@ -199,13 +199,12 @@ def _check_exact_linear_decay(faults):
     a = 0.5 / math.sqrt(2)
     coeffs[0][1, 1] = a
     coeffs[1][1, 1] = -a
-    u0 = SpectralVectorField(lat, coeffs)
     alpha, nu, t_end = 1.25, 0.7, 0.3
-    _, symbol = _faulty_inputs(lat, alpha, nu, faults)
-    out = u0.coeffs
+    work = StepWorkspace(*_faulty_inputs(lat, alpha, nu, faults))
+    out = c0 = work.kept(coeffs)
     for _ in range(3):
-        out = if_rk4_step(out, 0.1, symbol, lambda c, tendency: tendency.fill(0.0))
-    expected = u0.coeffs * np.exp(-nu * 2.0**alpha * t_end)
+        out = if_rk4_step(out, 0.1, lambda c, tendency: tendency.fill(0.0), work)
+    expected = c0 * np.exp(-nu * 2.0**alpha * t_end)
     err = float(np.max(np.abs(out - expected))) / a
     return err, 1e-12
 

@@ -9,9 +9,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import make_random_field
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,6 +41,33 @@ def test_step_counter_and_property_checks_resolve(layers):
     verify = importlib.import_module("nshd.verify")
     assert callable(dynamics.if_rk4_step)
     assert set(layers.SLOW_PROPERTIES) <= set(verify.PROPERTY_CHECKS)
+
+
+def test_the_step_counter_sees_one_call_per_step(monkeypatch):
+    # perfbench counts verify_suite steps as calls of dynamics.if_rk4_step
+    # under every nshd name bound to it; a step that stopped calling it
+    # would read as zero steps per second
+    dynamics = importlib.import_module("nshd.dynamics")
+    verify = importlib.import_module("nshd.verify")
+    original, calls = dynamics.if_rk4_step, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nshd" or name.startswith("nshd."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    u = make_random_field(n=2, N=16, seed=57, band=(1, 4))
+    work = dynamics.StepWorkspace(u.lattice, dynamics.dissipation_symbol(u.lattice, 1.0, 0.5))
+    dynamics.step(dynamics.SolverState(u=u), 1e-3, work)
+    assert len(calls) == 1
+    calls.clear()
+    results = verify.run_verification(name_filter="exact_linear_decay")
+    assert [r.passed for r in results] == [True]
+    assert len(calls) == 3
 
 
 def test_transforms_take_values_and_n_positionally(layers):

@@ -274,9 +274,9 @@ def test_step_exact_decay_single_mode():
     for i, sgn in ((0, 1.0), (1, -1.0)):
         coeffs[i][1, 1] = sgn * a
         coeffs[i][-1, -1] = sgn * a
-    coeffs = half_of(coeffs)
-    symbol = dissipation_symbol(lat, 1.0, 1.0)
-    out = if_rk4_step(coeffs, 0.1, symbol, lambda c, tendency: tendency.fill(0.0))
+    work = StepWorkspace(lat, dissipation_symbol(lat, 1.0, 1.0))
+    coeffs = work.kept(half_of(coeffs))
+    out = if_rk4_step(coeffs, 0.1, lambda c, tendency: tendency.fill(0.0), work)
     np.testing.assert_allclose(out, coeffs * np.exp(-0.2), rtol=1e-14, atol=0)
 
 
@@ -412,8 +412,7 @@ def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
     want_rhs = reference_rhs(lat, half)
     assert rhs.tobytes() == np.ascontiguousarray(want_rhs[..., :w]).tobytes()
     assert np.all(want_rhs[..., w:] == 0)
-    got = if_rk4_step(coeffs, 2e-3, work.symbol,
-                      lambda c, out: nonlinear_rhs(c, work, out), work.stages)
+    got = if_rk4_step(coeffs, 2e-3, lambda c, out: nonlinear_rhs(c, work, out), work)
     want = reference_if_rk4_step(half, 2e-3, dissipation_symbol(lat, cfg.alpha, cfg.nu),
                                  lambda c: reference_rhs(lat, c))
     assert got.tobytes() == np.ascontiguousarray(want[..., :w]).tobytes()

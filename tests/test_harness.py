@@ -721,15 +721,21 @@ def test_cli_help_exit_0(capsys):
     assert "usage: nshd" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested",
+                                  "not_a_directory", "name_too_long"])
 def test_cli_run_unreadable_config_exit_1(tmp_path, capsys, kind):
     path = tmp_path / "cfg"
     if kind == "directory":
         path.mkdir()
     elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe" + make_config(tmp_path).read_bytes())
-    else:  # deeper than the JSON parser's recursion limit
+    elif kind == "deeply_nested":  # deeper than the JSON parser's recursion limit
         path.write_text("[" * 200000 + "]" * 200000)
+    elif kind == "not_a_directory":  # a path under a regular file
+        path.write_text("{}")
+        path = path / "run.json"
+    else:  # longer than any file name the file system takes
+        path = tmp_path / ("c" * 5000)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert "invalid config: <file>:" in capsys.readouterr().err

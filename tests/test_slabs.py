@@ -1,11 +1,13 @@
 """Row slabs: a step's pointwise work split over threads changes no output.
 
-The slab count k is the pool's size (`SlabPool(k)`); `advance` takes it from
-the `scipy.fft` workers in force when it starts.
+The slab count k is the step workspace's (`StepWorkspace(lattice, symbol, k)`,
+which runs k - 1 threads of its own); `advance` takes it from the
+`scipy.fft` workers in force when it starts.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ import scipy.fft
 import nshd.dynamics as dynamics
 from nshd import diagnostics
 from nshd.dynamics import (
-    SlabPool,
     SolverConfig,
     SolverState,
     StepWorkspace,
@@ -39,8 +40,7 @@ DT = 2e-3
 def slab_outputs(u, cfg, k):
     """Bytes of one RHS, one step and a 5-step advance on k slabs."""
     lat = u.lattice
-    with SlabPool(k) as pool:
-        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
+    with StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), k) as work:
         rhs = nonlinear_rhs(work.kept(u.coeffs), work).tobytes()
         one = step(SolverState(u=u), DT, work).u.coeffs.tobytes()
     with scipy.fft.set_workers(k):
@@ -68,8 +68,7 @@ def test_a_record_does_not_depend_on_the_slab_count(n, N):
                        moment_orders=(0, 1, 2.5), sobolev_betas=(0, 1.5))
     rows = set()
     for k in (1, 2, 3):
-        with SlabPool(k) as pool:
-            work = StepWorkspace(u.lattice, None, pool)
+        with StepWorkspace(u.lattice, None, k) as work:
             assert len(work.slabs) == k
             record = diagnostics.compute_diagnostics(u, cfg, work=work)
         rows.add(diagnostics.csv_row(record, cfg))
@@ -101,9 +100,8 @@ def test_more_slabs_than_cores_under_fast_thread_switching():
 
 def test_slabs_cover_the_first_axis_longest_first():
     lat = make_random_field(n=3, N=16).lattice
-    with SlabPool(3) as pool:
-        work = StepWorkspace(lat, dissipation_symbol(lat, 1.0, 1.0), pool)
-    assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(0, 6), (6, 11), (11, 16)]
+    with StepWorkspace(lat, dissipation_symbol(lat, 1.0, 1.0), 3) as work:
+        assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(0, 6), (6, 11), (11, 16)]
     one = StepWorkspace(lat, lat.ksq_array).slabs
     assert [(s.rows.start, s.rows.stop) for s in one] == [(0, 16)]
 
@@ -115,8 +113,7 @@ def test_never_more_slabs_than_rows():
     cfg = SolverConfig(n=3, N=8, alpha=1.25, nu=0.1, t_end=5 * DT, dt_max=DT,
                        diag_stride=2)
     before = threading.active_count()
-    with SlabPool(10) as pool:
-        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
+    with StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), 10) as work:
         assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(i, i + 1)
                                                                      for i in range(8)]
         step(SolverState(u=u), DT, work)
@@ -128,12 +125,11 @@ def test_never_more_slabs_than_rows():
 def test_spectral_operators_on_a_slab_equal_those_rows_of_the_lattice(n, N):
     # 3 uneven slabs (11/11/10 and 6/5/5 rows) of coefficients on the kept columns
     lat = build_lattice(n, N)
-    with SlabPool(3) as pool:
-        work = StepWorkspace(lat, lat.ksq_array, pool)
+    with StepWorkspace(lat, lat.ksq_array, 3) as work:
+        slabs = work.slabs
     shape = (n,) + lat.shape[:-1] + (work.width,)
     rng = np.random.default_rng(53)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    slabs = work.slabs
     batch = np.empty((n + n * n,) + shape[1:], dtype=complex)
     whole = [gradient_batch(lat, c, c, batch), leray_project_coeffs(lat, c),
              dealias_coeffs(lat, c)]
@@ -156,8 +152,8 @@ def test_verify_faults_flow_through_the_slab_kernel(faults):
     lat = u.lattice
 
     def stepped(k, faults):
-        with SlabPool(k) as pool, np.errstate(over="ignore", invalid="ignore"):
-            work = StepWorkspace(*_faulty_inputs(lat, 1.0, 0.5, faults), pool)
+        with (StepWorkspace(*_faulty_inputs(lat, 1.0, 0.5, faults), k) as work,
+              np.errstate(over="ignore", invalid="ignore")):
             return step(SolverState(u=u), 0.05, work).u.coeffs
 
     faulty = stepped(1, faults)
@@ -222,15 +218,41 @@ def test_an_error_on_a_pool_thread_reaches_the_caller_of_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_clean", fails_off_slab_0)
     state, cfg = small_run()
     lat = state.u.lattice
-    with SlabPool(2) as pool:
-        work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), pool)
+    with StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu), 2) as work:
         with pytest.raises(FloatingPointError, match="slab at row 8"):
             step(state, DT, work)
 
 
 def test_pool_slabs_run_under_the_callers_errstate():
     big = np.full(8, 1e300)
-    overflow_off_slab_0 = lambda rows: big[rows] * (1e300 if rows.start else 1.0)
-    with SlabPool(2) as pool, np.errstate(over="raise"):
+    overflow_off_slab_0 = lambda s: big[s.rows] * (1e300 if s.rows.start else 1.0)
+    with StepWorkspace(build_lattice(2, 8), None, 2) as work, np.errstate(over="raise"):
+        assert [(s.rows.start, s.rows.stop) for s in work.slabs] == [(0, 4), (4, 8)]
         with pytest.raises(FloatingPointError, match="overflow"):
-            pool.run(overflow_off_slab_0, [slice(0, 4), slice(4, 8)])
+            work.each(overflow_off_slab_0)
+
+
+def test_each_waits_for_every_slab_before_it_raises_slab_0s_error():
+    # slab 0 raises while slab 1 is still writing: `each` returns only once
+    # slab 1 is done, and with slab 0's error; one slab runs on the caller
+    raising = threading.Event()
+    done = []
+
+    def kernel(slab):
+        if slab.rows.start == 0:
+            raising.set()
+            raise ValueError("slab 0")
+        assert raising.wait(10)
+        time.sleep(0.05)
+        done.append(slab.rows.start)
+
+    with StepWorkspace(build_lattice(2, 8), None, 2) as work:
+        with pytest.raises(ValueError, match="slab 0"):
+            work.each(kernel)
+        assert done == [4]
+
+    before = threading.active_count()
+    ran_on = []
+    StepWorkspace(build_lattice(2, 8)).each(lambda s: ran_on.append(threading.current_thread()))
+    assert ran_on == [threading.current_thread()]
+    assert threading.active_count() == before
