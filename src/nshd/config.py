@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 
 from .dynamics import SolverConfig
 from .initial_conditions import InitialConditionSpec
@@ -97,12 +98,15 @@ def load_config(path) -> RunConfig:
     A path that cannot be opened or read (any OSError: a missing file, a
     directory, a path under a regular file, a name too long), bytes that
     are not UTF-8, malformed JSON and JSON nested deeper than the parser's
-    recursion limit raise ConfigError("<file>", ...).
+    recursion limit raise ConfigError("<file>", ...).  An OSError's message
+    names the path shortened by `reprlib`, since it may be any length.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ConfigError("<file>", f"{exc.strerror}: {reprlib.repr(str(path))}") from exc
+    except UnicodeDecodeError as exc:
         raise ConfigError("<file>", str(exc)) from exc
     except RecursionError as exc:
         raise ConfigError("<file>", "JSON nested too deeply") from exc

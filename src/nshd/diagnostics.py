@@ -10,7 +10,9 @@ Conventions (Fourier-series coefficients on the 2*pi torus):
 
 Along exact solutions dE/dt = -D (the differentiated energy identity, with
 the factor 2 kept explicit).  Every sum_k runs over all modes, from the
-k_n >= 0 half a field holds, through the one kernel `_weighted_sums`.  A
+k_n >= 0 half a field holds, through the one kernel `_weighted_sums`, the
+only code that weighs the columns by their multiplicity; the initial-field
+normalisation, the scale checks and verify reach it through `energy`.  A
 record runs on a `dynamics.StepWorkspace` (the run's, or a fresh one):
 transforms in its batch, pointwise work on its row slabs.
 """
@@ -158,23 +160,19 @@ def enstrophy_production(u: SpectralVectorField, work: StepWorkspace | None = No
     """<omega . grad u, omega> by grid quadrature; identically 0 for n = 2.
 
     omega and grad u go to the grid in the whole batch of `work` (fresh when
-    None), from the columns `live_width` reads.
+    None), from the columns `live_width` reads; the finished integrand is
+    summed once, so the sum does not depend on the slab count.
     """
     lat = u.lattice
     if lat.n == 2:
         return 0.0
     work = StepWorkspace(lat) if work is None else work
-    w, grad = gradient_grid(work, u.coeffs, live_width(u.coeffs, work.width), curl=True)
-    integrand, rows = work.conv[0], np.empty(lat.N)
-
-    def kernel(s):
-        # omega_i omega_j is symmetric, so the orientation of grad does not matter
-        r = s.rows
-        np.einsum("i...,ij...,j...->...", w[:, r], grad[:, :, r], w[:, r], out=integrand[r])
-        np.sum(integrand[r].reshape(len(rows[r]), -1), axis=1, out=rows[r])
-
-    work.each(kernel)
-    return lat.cell_volume * float(rows.sum())
+    w, grad = gradient_grid(work, u.coeffs, live_width(u.coeffs, work.width), "vorticity")
+    integrand = work.conv[0]
+    # omega_i omega_j is symmetric, so the orientation of grad does not matter
+    work.each(lambda s: np.einsum("i...,ij...,j...->...", w[:, s.rows], grad[:, :, s.rows],
+                                  w[:, s.rows], out=integrand[s.rows]))
+    return lat.cell_volume * float(np.sum(integrand))
 
 
 def max_velocity(u: SpectralVectorField) -> float:

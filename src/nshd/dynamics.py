@@ -235,29 +235,22 @@ def nonlinear_rhs(coeffs: np.ndarray, work: StepWorkspace,
                   out: np.ndarray | None = None) -> np.ndarray:
     """-P[(u.grad)u] on the kept columns of the k_n >= 0 half (array level).
 
-    Velocity and all partial derivatives are transformed to the grid, the
+    u and grad u come to the grid from `gradient_grid`'s velocity batch, the
     convective products are formed pointwise, and the result is transformed
     back, dealiased (2/3 rule), projected and mean-zeroed.  `coeffs` is the
     half or its kept columns; only the first `work.width` columns are read,
     so the rest must hold zeros.  The result is (n, N, ..., work.width).
-    The lattice, its mask and projection are
-    `work.lattice`'s.  The batch assembly, the product and the cleanup run on
-    `work`'s row slabs, in its arrays, and the cleanup writes `out`, fresh
-    when None.  The two transforms take the whole batch on the kept columns,
-    and the inverse one runs in `work.batch`, consuming it.  `coeffs` is not
-    written.
+    The lattice, its mask and projection are `work.lattice`'s.  The product
+    and the cleanup run on `work`'s row slabs, in its arrays, and the
+    cleanup writes `out`, fresh when None.  `coeffs` is not written.
     """
-    n, shape, w = work.lattice.n, work.lattice.shape, work.width
+    n, w = work.lattice.n, work.width
     if out is None:
         out = np.empty_like(work.stages[0])
-    batch = work.batch[..., :w]
-    work.each(lambda s: gradient_batch(s, coeffs[:, s.rows], coeffs[:, s.rows],
-                                       batch[:, s.rows]))
-    phys = coeffs_to_grid(work.batch, n, overwrite=True, width=w)
-    vel, deriv = phys[:n], phys[n:].reshape((n, n) + shape)  # deriv[i, j] = d_j u_i
+    vel, deriv = gradient_grid(work, coeffs, w, "velocity")
     work.each(lambda s: np.einsum("j...,ij...->i...", vel[:, s.rows], deriv[:, :, s.rows],
                                   out=work.conv[:, s.rows]))
-    del phys, vel, deriv  # the grid batch is freed before the forward transform
+    del vel, deriv  # the grid batch is freed before the forward transform
     conv_hat = grid_to_coeffs(work.conv, n, width=w)
 
     def cleanup(s):
@@ -269,29 +262,33 @@ def nonlinear_rhs(coeffs: np.ndarray, work: StepWorkspace,
     return out
 
 
-def gradient_grid(work: StepWorkspace, coeffs: np.ndarray, cols: int, curl: bool = False):
-    """(omega, grad u) on the grid, `grad[i, j] = d_j u_i`, from one inverse
+def gradient_grid(work: StepWorkspace, coeffs: np.ndarray, cols: int, lead=None):
+    """(lead, grad u) on the grid, `grad[i, j] = d_j u_i`, from one inverse
     transform that consumes `work.batch` on the first `cols` columns: the
-    `gradient_batch` of the half `coeffs` in its last n^2 components and,
-    with `curl` (3D), omega_i = d_j u_k - d_k u_j from those in the first 3,
-    all built on the row slabs; omega is empty without.  Past the kept
+    lead, then the `gradient_batch` of the half `coeffs`, built on the row
+    slabs.  The lead is nothing for None (the pressure), u for "velocity"
+    (the RHS) or, in 3D, omega_i = d_j u_k - d_k u_j from the gradient
+    components for "vorticity" (the enstrophy production).  Past the kept
     width the batch is left zero for the next step.
     """
     n, w = work.lattice.n, work.width
-    lead = 3 if curl else 0
-    batch = work.batch[n - lead :]
+    m = 0 if lead is None else n
+    batch = work.batch[n - m :]
     part = batch[..., :cols]
+    pairs = ((1, 2), (2, 0), (0, 1)) if lead == "vorticity" else ()
 
     def build(s):
         b = part[:, s.rows]
-        gradient_batch(s, coeffs[:, s.rows], batch=b[lead:])
-        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))[:lead]):
-            np.subtract(b[lead + 3 * k + j], b[lead + 3 * j + k], out=b[i])
+        gradient_batch(s, coeffs[:, s.rows], b[m:])
+        if lead == "velocity":
+            b[:m] = coeffs[:, s.rows, ..., :cols]
+        for i, (j, k) in enumerate(pairs):
+            np.subtract(b[m + n * k + j], b[m + n * j + k], out=b[i])
 
     work.each(build)
     phys = coeffs_to_grid(batch, n, overwrite=True, width=cols)
     work.batch[..., w:cols] = 0.0
-    return phys[:lead], phys[lead:].reshape((n, n) + work.lattice.shape)
+    return phys[:m], phys[m:].reshape((n, n) + work.lattice.shape)
 
 
 def compute_pressure(u: SpectralVectorField, work: StepWorkspace | None = None) -> np.ndarray:

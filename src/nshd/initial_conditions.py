@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import energy
 from .spectral import (
     ConfigError,
     SpectralVectorField,
     WavenumberLattice,
     check_finite,
     leray_project_coeffs,
-    mode_sum,
 )
 
 SLOPE_DECADES = 100  # the band's largest |k|^spectrum_slope lies within 1e+-100
@@ -148,10 +148,10 @@ def random_band_limited(lattice: WavenumberLattice, spec: InitialConditionSpec) 
         coeffs[(slice(None),) + tuple(at[:, inside] % N)] = values[:, inside]
     leray_project_coeffs(lattice, coeffs, out=coeffs)
 
-    total = lattice.volume * mode_sum(np.abs(coeffs) ** 2)  # = 2 * energy
-    if total == 0.0:
+    e = energy(SpectralVectorField(lattice, coeffs))
+    if e == 0.0:
         raise EmptyBand("projection annihilated every mode in the band")
-    coeffs *= spec.amplitude / np.sqrt(0.5 * total)
+    coeffs *= spec.amplitude / np.sqrt(e)
     return SpectralVectorField(lattice, coeffs, 0.0)
 
 

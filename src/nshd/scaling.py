@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagnostics import energy
-from .spectral import SpectralVectorField, mode_sum, zoom_cut
+from .spectral import SpectralVectorField, zoom_cut
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -109,14 +109,14 @@ def zoom_commutation(u0: SpectralVectorField, q: int, alpha, evolve) -> tuple[fl
     run, 1 for the other.  The evolved field is cut to `sub_ball` before its
     zoom (its image elsewhere is not resolved), dropping that energy fraction.
     """
-    b = evolve(apply_discrete_rescale(u0, q, alpha), float(q) ** (2.0 * float(alpha))).coeffs
+    b = evolve(apply_discrete_rescale(u0, q, alpha), float(q) ** (2.0 * float(alpha)))
     a = evolve(u0, 1.0)
     e_full = energy(a)
     sub = sub_ball(a, q)
     dropped = 0.0 if e_full == 0 else max(0.0, 1.0 - energy(sub) / e_full)
-    diff = apply_discrete_rescale(sub, q, alpha).coeffs - b
-    scale = math.sqrt(mode_sum(np.abs(b) ** 2))
-    discrepancy = math.sqrt(mode_sum(np.abs(diff) ** 2)) / scale if scale else 0.0
+    diff = b.with_coeffs(apply_discrete_rescale(sub, q, alpha).coeffs - b.coeffs)
+    scale = energy(b)
+    discrepancy = math.sqrt(energy(diff) / scale) if scale else 0.0
     return discrepancy, dropped
 
 

@@ -11,7 +11,7 @@ so Parseval reads  integral |f|^2 dx = (2*pi)^n * sum_k |c(k)|^2.
 The fields are real, so c(-k) = conj(c(k)), and a field holds only the
 k_n >= 0 half of the last axis, N//2 + 1 columns: the half in memory, the
 full spectrum on disk.  `full_spectrum` completes a half for the checkpoint
-file, and `mode_sum` turns a sum over the half into the sum over every mode.
+file; sums over every mode are the weighted-sum kernel's, in `diagnostics`.
 The lattice's tables (`kmod_array` and the others) hold the same half,
 `half_shape`, and its last sparse mode grid the half's columns.  The
 transforms take the half, and a keyword-only `width` for arrays whose
@@ -27,8 +27,8 @@ it is the lowest module the config dataclasses import.
 
 Fields are treated as immutable values and every operation returns a fresh
 field, so values can be shared freely between threads.  There are two
-exceptions.  An array-level operation given an `out=` (or `batch=`) array
-writes its result there instead, and that array belongs to the caller alone.
+exceptions.  An array-level operation given an `out=` array (`gradient_batch`
+its batch) writes its result there, and that array belongs to the caller.
 `coeffs_to_grid(..., overwrite=True)` consumes its input as scratch, so only
 a caller that owns that array and reads it no more may pass it.
 """
@@ -273,27 +273,16 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def gradient_batch(lattice: WavenumberLattice, coeffs: np.ndarray,
-                   lead: np.ndarray | None = None,
-                   batch: np.ndarray | None = None) -> np.ndarray:
-    """The m + n^2 components (`lead`, then i k_j c_i at m + n i + j) on the
-    first columns of the k_n >= 0 half, m = len(lead) or 0 when lead is None.
-
-    They are built in `batch` when given, a complex array of that shape
-    whose last axis sets how many columns; else in a fresh array of the
-    whole half, N//2 + 1 columns.
-    """
-    n = lattice.n
-    m = 0 if lead is None else len(lead)
-    if batch is None:
-        batch = np.empty((m + n * n,) + lattice.half_shape, dtype=np.complex128)
-    width = batch.shape[-1]
-    if m:
-        batch[:m] = lead[..., :width]
+                   batch: np.ndarray) -> np.ndarray:
+    """The n^2 derivative components i k_j c_i, at n i + j, of the half
+    `coeffs`, written into `batch`: a complex (n^2, N, ..., width) array
+    whose last axis sets how many leading columns of the half."""
+    n, width = lattice.n, batch.shape[-1]
     ik = [1j * g[..., :width] for g in lattice.mode_grids]
     for i in range(n):
         c = coeffs[i, ..., :width]
         for j in range(n):
-            np.multiply(ik[j], c, out=batch[m + n * i + j])
+            np.multiply(ik[j], c, out=batch[n * i + j])
     return batch
 
 
@@ -371,17 +360,7 @@ def vorticity(u: SpectralVectorField) -> np.ndarray:
     return w
 
 
-# -- mode sums and invariant helpers ---------------------------------------------
-
-
-def mode_sum(values: np.ndarray) -> float:
-    """The sum over every mode of a quantity even under k -> -k (|c|^2, or |c|
-    times a weight of |k|) from its k_n >= 0 half: last axis N//2 + 1, N on the
-    one before, leading axes summed too.  Each column 0 < k_n < N/2 stands for
-    itself and its mirror, so the columns weigh 1, 2, ..., 2, 1."""
-    weights = np.full(values.shape[-2] // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    return float(np.sum(values * weights))
+# -- invariant helpers --------------------------------------------------------
 
 
 def hermitian_defect(u: SpectralVectorField) -> float:

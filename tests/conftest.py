@@ -102,12 +102,27 @@ def mean_mode(u):
 
 def velocity_gradient_grid(lattice, coeffs, lead=None):
     """Grid values of `lead` and of grad u from one inverse transform of a
-    fresh whole-half `gradient_batch`: `(lead_values, grad)`, `grad[i, j] =
-    d_j u_i`.  The out-of-place oracle of the solver's workspace batches."""
+    fresh whole-half batch, `lead` then `gradient_batch`: `(lead_values,
+    grad)`, `grad[i, j] = d_j u_i`.  The out-of-place oracle of the solver's
+    workspace batches."""
     n = lattice.n
     m = 0 if lead is None else len(lead)
-    phys = coeffs_to_grid(gradient_batch(lattice, coeffs, lead), n, overwrite=True)
+    batch = np.empty((m + n * n,) + lattice.half_shape, dtype=np.complex128)
+    batch[:m] = lead
+    gradient_batch(lattice, coeffs, batch[m:])
+    phys = coeffs_to_grid(batch, n, overwrite=True)
     return phys[:m], phys[m:].reshape((n, n) + lattice.shape)
+
+
+def mode_sum(values):
+    """The sum over every mode of a quantity even under k -> -k (|c|^2, or |c|
+    times a weight of |k|) from its k_n >= 0 half: last axis N//2 + 1, N on the
+    one before, leading axes summed too.  Each column 0 < k_n < N/2 stands for
+    itself and its mirror, so the columns weigh 1, 2, ..., 2, 1.  The
+    written-out oracle of `diagnostics._weighted_sums`."""
+    weights = np.full(values.shape[-2] // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(np.sum(values * weights))
 
 
 # -- full-lattice oracles: every mode of the N^n lattice, not the k_n >= 0 half --

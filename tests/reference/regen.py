@@ -6,17 +6,22 @@ Each run in RUNS goes through `harness.run_config` with one FFT worker, and
 its `diagnostics.csv` (every number written by `repr`) is copied here as
 `<name>.csv`.  `run_summaries.csv` holds the SUMMARY_FIELDS of each run's
 `run_summary.json`, one (run, field, value) row per number or status.
-`verify_results.csv` holds one row per `run_verification()` result under
-each entry of VERIFY_FAULTS: the faults, name, passed, `repr(metric)` and
-detail.  `tests/test_reference.py` and `tests/test_verify.py` compare
+SWEEP_CONFIG is swept over SWEEP_ALPHAS through `harness.sweep`: its
+`sweep_summary.csv` is copied here as `<SWEEP>.csv`, and the sweep's exit
+code and each of its runs' status and exit code (from the run's
+`run_summary.json`) join `run_summaries.csv` under the run `<SWEEP>` and
+`<SWEEP>/alpha_<alpha>`.  `verify_results.csv` holds one row per
+`run_verification()` result under each entry of VERIFY_FAULTS: the faults,
+name, passed, `repr(metric)` and detail.  `tests/test_reference.py` and `tests/test_verify.py` compare
 against these files, so a change that moves them must say so, with the
-largest relative change per column, which this script prints for every
-file it rewrites.
+largest change per column and the row where it happened, which this script
+prints for every file it rewrites.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import shutil
@@ -63,10 +68,21 @@ RUNS = {
     },
 }
 
+SWEEP = "sweep_2d_n32"
+SWEEP_CONFIG = {
+    "schema_version": 1,
+    "solver": {"n": 2, "N": 32, "alpha": 1.0, "nu": 0.05, "t_end": 0.1, "dt_max": 0.005,
+               "diag_stride": 4},
+    "initial_condition": {"kind": "random_band", "amplitude": 2.0, "seed": 21,
+                          "band": [1, 6]},
+}
+# 0.5 and 1.0 = alpha_L(2) lose resolution at t = 0.06; 2.0 completes
+SWEEP_ALPHAS = (0.5, 1.0, 2.0)
+
 SUMMARY_FILE = "run_summaries.csv"
 # a dict field gives one row per key, named field.key; a None value is written empty
 SUMMARY_FIELDS = ("final_time", "final_step", "final_energy", "initial_energy",
-                  "max_enstrophy", "max_moments", "first_flag_time", "status")
+                  "max_enstrophy", "max_moments", "first_flag_time", "status", "exit_code")
 
 VERIFY_FILE = "verify_results.csv"
 # the `faults` column -> the FaultInjection fields set
@@ -84,6 +100,30 @@ def run(name: str, out_dir):
     from nshd.harness import run_config
 
     return run_config(parse_config(RUNS[name]), out_dir, fft_workers=1)
+
+
+def run_sweep(out_dir):
+    """Sweep SWEEP_CONFIG over SWEEP_ALPHAS into out_dir; its `harness.SweepSummary`."""
+    from nshd.config import parse_config
+    from nshd.harness import sweep
+
+    return sweep(parse_config(SWEEP_CONFIG), SWEEP_ALPHAS, out_dir)
+
+
+def sweep_rows(summary, out_dir) -> list[dict]:
+    """The sweep's exit code, then each run's status and exit code from its
+    `run_summary.json`, as {run, field, value} rows."""
+    from nshd.harness import RunRecord
+
+    rows = [{"run": SWEEP, "field": "exit_code", "value": repr(summary.exit_code)}]
+    for alpha in summary.alpha_list:
+        name = f"alpha_{alpha:g}"
+        with open(os.path.join(out_dir, name, "run_summary.json"), encoding="utf-8") as fh:
+            record = RunRecord(**json.load(fh))
+        rows += [{"run": f"{SWEEP}/{name}", "field": field, "value": value}
+                 for field, value in (("status", record.status),
+                                      ("exit_code", repr(record.exit_code)))]
+    return rows
 
 
 def summary_rows(name: str, record) -> list[dict]:
@@ -122,49 +162,68 @@ def write_verify_results(path) -> None:
                 out.writerow((key, r.name, r.passed, repr(r.metric), r.detail))
 
 
-def _relative_change(old: str, new: str) -> float | None:
-    """|new - old| / |old| of two numbers (inf if either is not finite or old is 0
-    while new is not), or None when either is not a number."""
+ABS_FLOOR = 1e-24  # below it, as in tests/test_reference.py, a change counts absolutely
+
+
+def _change(old: str, new: str) -> tuple[str, float] | None:
+    """How far the number `new` lies from `old`: ("relative", |new - old| /
+    |old|), or ("absolute", |new - old|) when |old| < ABS_FLOOR (0 included);
+    inf when one of them is not finite and they differ.  None when either is
+    not a number."""
     if old == new:
-        return 0.0
+        return "relative", 0.0
     try:
         a, b = float(old), float(new)
     except ValueError:
         return None
-    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
-        return math.inf
-    return abs(b - a) / abs(a)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return "relative", math.inf
+    if abs(a) < ABS_FLOOR:
+        return "absolute", abs(b - a)
+    return "relative", abs(b - a) / abs(a)
 
 
-def column_changes(old_rows: list[dict], new_rows: list[dict]) -> list[str]:
-    """One line per column that moved: the largest relative change of a
-    numeric column, or the count of rows whose text changed."""
+def column_changes(old_rows: list[dict], new_rows: list[dict], key=()) -> list[str]:
+    """One line per column that moved: its largest relative change, and its
+    largest absolute change over the rows whose old value lies below
+    ABS_FLOOR, each with the row where it happened; or the count of rows
+    whose text changed.  Rows are named, and paired, by their `key` columns,
+    else by their number."""
     header = list(new_rows[0]) if new_rows else []
     if header != (list(old_rows[0]) if old_rows else []):
         return [f"header changed to {','.join(header)}"]
     lines = []
-    if len(old_rows) != len(new_rows):  # the columns compare the common leading rows
+    if len(old_rows) != len(new_rows):  # the columns compare the rows both name alike
         lines.append(f"{len(old_rows)} -> {len(new_rows)} rows")
+    name = lambda i, row: ", ".join(f"{k}={row[k]}" for k in key) if key else f"row {i + 1}"
+    old = {name(i, row): row for i, row in enumerate(old_rows)}
+    pairs = [(name(i, row), old[name(i, row)], row) for i, row in enumerate(new_rows)
+             if name(i, row) in old]
     for column in header:
-        changes = [_relative_change(o[column], n[column]) for o, n in zip(old_rows, new_rows)]
-        texts = sum(c is None for c in changes)
-        worst = max((c for c in changes if c is not None), default=0.0)
+        worst, texts = {}, 0
+        for where, o, n in pairs:
+            change = _change(o[column], n[column])
+            if change is None:
+                texts += 1
+            elif change[1] > worst.get(change[0], (0.0,))[0]:
+                worst[change[0]] = (change[1], where)
         if texts:
-            lines.append(f"{column}: text changed in {texts} of {len(changes)} rows")
-        if worst:
-            lines.append(f"{column}: largest relative change {worst:.3g}")
+            lines.append(f"{column}: text changed in {texts} of {len(pairs)} rows")
+        for kind, (size, where) in sorted(worst.items(), reverse=True):
+            lines.append(f"{column}: largest {kind} change {size:.3g} at {where}")
     return lines
 
 
-def rewrite(filename: str, write) -> None:
-    """write(path) the reference file, then print how its columns moved."""
+def rewrite(filename: str, write, key=()) -> None:
+    """write(path) the reference file, then print how its columns moved,
+    naming rows by their `key` columns."""
     path = os.path.join(HERE, filename)
     old = read_rows(path) if os.path.exists(path) else None
     write(path)
     if old is None:
         print(f"wrote {filename} (new)")
         return
-    lines = column_changes(old, read_rows(path))
+    lines = column_changes(old, read_rows(path), key)
     print(f"wrote {filename}: " + ("unchanged" if not lines else "changed"))
     for line in lines:
         print(f"    {line}")
@@ -176,9 +235,14 @@ def main() -> int:
         for name in RUNS:
             record = run(name, os.path.join(tmp, name))
             summaries += summary_rows(name, record)
-            rewrite(f"{name}.csv", lambda path: shutil.copyfile(record.csv_path, path))
-    rewrite(SUMMARY_FILE, lambda path: write_summaries(path, summaries))
-    rewrite(VERIFY_FILE, write_verify_results)
+            rewrite(f"{name}.csv", lambda path: shutil.copyfile(record.csv_path, path),
+                    key=("step",))
+        out_dir = os.path.join(tmp, SWEEP)
+        summaries += sweep_rows(run_sweep(out_dir), out_dir)
+        rewrite(f"{SWEEP}.csv", lambda path: shutil.copyfile(
+            os.path.join(out_dir, "sweep_summary.csv"), path), key=("alpha",))
+    rewrite(SUMMARY_FILE, lambda path: write_summaries(path, summaries), key=("run", "field"))
+    rewrite(VERIFY_FILE, write_verify_results, key=("faults", "name"))
     return 0
 
 

@@ -34,11 +34,17 @@ from nshd.spectral import (
     SpectralVectorField,
     build_lattice,
     full_spectrum,
-    mode_sum,
     vorticity,
 )
 
-from conftest import full_tables, grid_coords, half_of, make_random_field, zero_field
+from conftest import (
+    full_tables,
+    grid_coords,
+    half_of,
+    make_random_field,
+    mode_sum,
+    zero_field,
+)
 
 
 # -- scalar diagnostics ----------------------------------------------------------

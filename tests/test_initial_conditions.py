@@ -172,7 +172,7 @@ def test_spec_validation():
 @settings(max_examples=40)
 def test_half_build_matches_the_full_lattice_build(n, seed, band, slope, amplitude):
     # the projected half before the rescaling is byte-equal; only the
-    # normalising sum, over the half by `mode_sum`, moves the scaled field
+    # normalising sum, over the half by `diagnostics.energy`, moves the scaled field
     lat = {2: build_lattice(2, 32), 3: build_lattice(3, 16)}[n]
     spec = InitialConditionSpec("random_band", amplitude=amplitude, seed=seed, band=band,
                                 spectrum_slope=slope)

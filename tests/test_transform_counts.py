@@ -100,10 +100,11 @@ def test_step_runs_rhs_leray_and_dealias_through_their_functions(monkeypatch, n)
 @pytest.mark.parametrize("n, record_batches", [(2, 1), (3, 2)])
 def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     # overwrite=True hands coeffs_to_grid its input as scratch: only the step
-    # workspace's batch may go that way, for the step and for a record's
-    # gradient batches (the pressure's, and the production's in 3D), never a
-    # state's coefficients; the state is zero past the kept width, so the
-    # step, the CFL check and the record all transform its kept columns
+    # workspace's batch may go that way, as views from `gradient_grid`, for
+    # the step (the whole batch) and for a record's gradient batches (the
+    # pressure's, and the production's in 3D), never a state's coefficients;
+    # the state is zero past the kept width, so the step, the CFL check and
+    # the record all transform its kept columns
     consumed, narrowed = [], []
     inverse, forward = spectral.coeffs_to_grid, spectral.grid_to_coeffs
 
@@ -127,9 +128,10 @@ def test_only_owned_batches_are_consumed(monkeypatch, n, record_batches):
     lat = state.u.lattice
     work = StepWorkspace(lat, dissipation_symbol(lat, cfg.alpha, cfg.nu))
     step(state, 1e-3, work)
-    assert len(consumed) == 4 and all(v is work.batch for v in consumed)
+    whole_batch = lambda v: v.base is work.batch and v.shape == work.batch.shape
+    assert len(consumed) == 4 and all(map(whole_batch, consumed))
     assert [(kind, w) for kind, _, w in narrowed] == [("inverse", 6), ("forward", 6)] * 4
-    assert all(v is (work.batch if kind == "inverse" else work.conv)
+    assert all(whole_batch(v) if kind == "inverse" else v is work.conv
                for kind, v, _ in narrowed)
     consumed.clear()
     narrowed.clear()
