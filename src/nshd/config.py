@@ -98,8 +98,10 @@ def load_config(path) -> RunConfig:
     A path that cannot be opened or read (any OSError: a missing file, a
     directory, a path under a regular file, a name too long), bytes that
     are not UTF-8, malformed JSON and JSON nested deeper than the parser's
-    recursion limit raise ConfigError("<file>", ...).  An OSError's message
-    names the path shortened by `reprlib`, since it may be any length.
+    recursion limit raise ConfigError("<file>", ...), as does any other
+    ValueError of the parser, such as an integer literal longer than Python's
+    int-conversion limit.  An OSError's message names the path shortened by
+    `reprlib`, since it may be any length.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,4 +117,6 @@ def load_config(path) -> RunConfig:
             "<file>", f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                       f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # after its subclasses UnicodeDecodeError and JSONDecodeError
+        raise ConfigError("<file>", f"invalid JSON: {str(exc).partition(':')[0]}") from exc
     return parse_config(data)

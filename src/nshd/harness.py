@@ -27,18 +27,35 @@ Threads are decided here and nowhere else.  The budget is `NSHD_THREADS`
 (a positive integer) if set, else the usable CPUs, and never more than the
 usable CPUs.  `run_config` and `scale_check` step inside
 `scipy.fft.set_workers(k)`: k is the budget on lattices of at least
-FFT_THREAD_POINTS = 2^18 points (3D N >= 64, 2D N >= 512) and 1 below.  Two
-pocketfft workers measured slower than one below 2^18 points before the row
-slabs put a step's pointwise work on the second core too; since then, steps
-at 2D N=256 and 3D N=48 on 2 workers and 2 slabs won 5 of 5 alternating
-rounds against 1 and 1 on a 2-vCPU VM (ROADMAP item 15).  The gate moves
-once a 3D N=48 benchmark workload measures the crossover.  `sweep` runs
-min(alphas, budget) alphas at once and gives each run budget // that many
-FFT workers, so alpha threads x FFT workers never exceeds the budget.
-Everything else, the verify suite included, keeps scipy's default of one
-worker.  `advance` splits the step arithmetic into as many row slabs, on as
-many threads, as there are FFT workers.  Threaded transforms and slabs are
-bit-identical to serial ones, so no output depends on the thread count.
+FFT_THREAD_POINTS[n] points, 2^15 in 3D (N >= 32) and 2^16 in 2D
+(N >= 256), and 1 below.  `advance` splits the step arithmetic into as many
+row slabs, on as many threads, as there are FFT workers.  Each gate is the
+smallest lattice on which 2 workers and 2 slabs beat 1 and 1 in most
+alternating pairs of whole `run_config` runs, in every measured pass and in
+both run shapes: 16 steps with a record after every step (diag3d_n32's
+record) and 10 steps with a record every 5th.  One pass of 16 rounds per
+shape on a 2-vCPU VM, medians and the pairs won by 2 workers:
+    lattice    record every step          record every 5th step
+    3D N=24    0.184 -> 0.215 s  (0/16)   0.121 -> 0.152 s  (3/16)
+    3D N=28    0.336 -> 0.398 s  (0/16)   0.164 -> 0.184 s  (7/16)
+    3D N=30    0.393 -> 0.372 s (12/16)   0.196 -> 0.190 s (12/16)
+    3D N=32    0.445 -> 0.372 s (15/16)   0.255 -> 0.233 s (12/16)
+    2D N=160   0.145 -> 0.196 s  (0/16)   0.081 -> 0.107 s  (1/16)
+    2D N=192   0.215 -> 0.227 s  (5/16)   0.132 -> 0.155 s  (2/16)
+    2D N=224   0.389 -> 0.399 s  (9/16)   0.193 -> 0.157 s (15/16)
+    2D N=256   0.457 -> 0.416 s (14/16)   0.212 -> 0.195 s (13/16)
+In six more passes of 10 to 24 rounds, some while the VM ran slower, 3D
+N=32 and 2D N=256 won most pairs every time; 3D N=30 lost one pass (4 of
+10) and 2D N=224 two (3 of 10, 7 of 16).  An RHS batch holds n + n^2
+fields, 6 in 2D against 12 in 3D, so at as many points a 2D step has half
+the work to spread over the same fixed threading cost, and no single points
+threshold fits both dimensions: 2^15 points would put 2D N=192 on two
+workers.  `sweep` runs min(alphas, budget) alphas at once and gives each run
+budget // that many FFT workers, gated the same way, so alpha threads x FFT
+workers never exceeds the budget.  Everything else, the verify suite
+included, keeps scipy's default of one worker.  Threaded transforms and
+slabs are bit-identical to serial ones, so no output depends on the thread
+count.
 """
 
 from __future__ import annotations
@@ -74,7 +91,8 @@ EXIT_DIVERGED = 2
 EXIT_RESOLUTION_LOSS = 3
 EXIT_OUTPUT = 4
 
-FFT_THREAD_POINTS = 2 ** 18  # smallest lattice whose runs transform on the budget
+# by dimension n, the smallest lattice (in points) whose runs step on the budget
+FFT_THREAD_POINTS = {2: 2 ** 16, 3: 2 ** 15}
 
 _STATUS_EXIT = dict(zip((*FLAGS, STATUS_COMPLETED),
                         (EXIT_DIVERGED, EXIT_RESOLUTION_LOSS, EXIT_OK), strict=True))
@@ -172,7 +190,10 @@ def thread_budget() -> int:
 
 
 def _fft_workers(cfg, budget: int) -> int:
-    return budget if cfg.N ** cfg.n >= FFT_THREAD_POINTS else 1
+    """FFT workers, and row slabs, of a run of cfg: the budget on lattices of
+    FFT_THREAD_POINTS[n] points or more (3D N >= 32, 2D N >= 256), else 1.
+    The module docstring gives the measurements behind each gate."""
+    return budget if cfg.N ** cfg.n >= FFT_THREAD_POINTS[cfg.n] else 1
 
 
 def sweep_threads(n_alphas: int, budget: int, cfg) -> tuple[int, int]:
@@ -185,7 +206,8 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
     """Execute one configured run, writing all artifacts into out_dir.
 
     The run steps with `fft_workers` scipy.fft workers; by default the thread
-    budget on lattices of FFT_THREAD_POINTS points or more, else 1.
+    budget on lattices of FFT_THREAD_POINTS[n] points or more (3D N >= 32,
+    2D N >= 256), else 1.
     """
     cfg = config.solver
     if fft_workers is None:

@@ -572,17 +572,26 @@ def test_thread_budget_without_affinity(monkeypatch):
     assert thread_budget() == 3
 
 
+# the largest measured lattice of each dimension that stays on one worker, and
+# the smallest that steps on the budget (harness.FFT_THREAD_POINTS)
+BELOW_GATE = ((3, 30), (2, 192))
+AT_GATE = ((3, 32), (2, 256))
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3, 4])
 def test_sweep_threads_stay_within_budget(budget):
-    big, small = SimpleNamespace(n=3, N=64), SimpleNamespace(n=3, N=32)
+    below = [SimpleNamespace(n=n, N=N) for n, N in BELOW_GATE]
+    at = [SimpleNamespace(n=n, N=N) for n, N in (*AT_GATE, (3, 64))]
     for n_alphas in range(1, 6):
-        for cfg in (big, small):
+        for cfg in (*below, *at):
             alpha_threads, fft_workers = sweep_threads(n_alphas, budget, cfg)
             assert 1 <= alpha_threads <= n_alphas
             assert fft_workers >= 1
             assert alpha_threads * fft_workers <= budget
-        assert sweep_threads(n_alphas, budget, small)[1] == 1
-    assert sweep_threads(1, budget, big) == (1, budget)
+        for cfg in below:
+            assert sweep_threads(n_alphas, budget, cfg)[1] == 1
+    for cfg in at:
+        assert sweep_threads(1, budget, cfg) == (1, budget)
 
 
 def test_sweep_threads_two_by_one_for_four_alphas():
@@ -600,8 +609,10 @@ def test_cli_run_bad_threads_exit_1(tmp_path, monkeypatch, capsys, value):
     assert not out.exists()
 
 
-def test_threaded_3d_n64_run_is_byte_identical(tmp_path, monkeypatch, step_workers):
-    config = one_step_config(tmp_path, 3, 64)
+@pytest.mark.parametrize("n,N", [pytest.param(n, N, id=f"{n}d_n{N}")
+                                 for n, N in ((3, 64), *AT_GATE)])
+def test_threaded_run_is_byte_identical(tmp_path, monkeypatch, step_workers, n, N):
+    config = one_step_config(tmp_path, n, N)
     outputs = []
     for threads in (1, 2):
         monkeypatch.setenv("NSHD_THREADS", str(threads))
@@ -617,14 +628,26 @@ def test_threaded_3d_n64_run_is_byte_identical(tmp_path, monkeypatch, step_worke
     assert outputs[0] == outputs[1]
 
 
+def test_threaded_3d_n32_scale_check_is_identical(tmp_path, monkeypatch, step_workers):
+    config = one_step_config(tmp_path, 3, 32)
+    reports = []
+    for threads in (1, 2):
+        monkeypatch.setenv("NSHD_THREADS", str(threads))
+        del step_workers[:]
+        reports.append(dataclasses.asdict(scale_check(config, 2)))
+        assert step_workers == [min(threads, usable_cpus())] * 2
+    assert reports[0]["commutation_pass"] and reports[0]["energy_ratio_pass"]
+    assert reports[0] == reports[1]
+
+
 def test_small_lattices_and_verify_step_on_one_worker(tmp_path, monkeypatch, step_workers):
     monkeypatch.setenv("NSHD_THREADS", "2")
-    for n, N in ((3, 32), (2, 256), (2, 32)):
+    for n, N in (*BELOW_GATE, (2, 32)):
         out = tmp_path / f"out{n}d{N}"
         assert run_config(one_step_config(tmp_path, n, N), out).fft_workers == 1
         assert json.loads((out / "run_summary.json").read_text())["fft_workers"] == 1
     assert step_workers == [1] * 3
-    assert scale_check(one_step_config(tmp_path, 3, 32), 1).passed
+    assert scale_check(one_step_config(tmp_path, 3, 30), 1).passed
     assert step_workers == [1] * 5
     results = verify.run_verification()
     assert all(r.passed for r in results)
@@ -742,6 +765,21 @@ def test_cli_run_unreadable_config_exit_1(tmp_path, capsys, kind):
     assert "invalid config: <file>:" in err
     if kind == "name_too_long":  # the path is shortened, the reason kept
         assert len(err.rstrip("\n")) < 300 and "File name too long" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "scale-check"])
+def test_cli_integer_past_the_conversion_limit_exit_1_without_output(tmp_path, capsys,
+                                                                     command):
+    path = make_config(tmp_path, **{"solver.N": "LONG"})
+    path.write_text(path.read_text().replace('"LONG"', "9" * 5000))  # > 4300 digits
+    out = tmp_path / "out"
+    argv = {"run": ["--out", str(out)], "sweep": ["--alphas", "0.9,1.1", "--out", str(out)],
+            "scale-check": ["--q", "2"]}[command]
+    assert main([command, "--config", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: <file>: invalid JSON")
+    assert err.count("\n") == 1 and len(err) < 200
     assert not out.exists()
 
 
