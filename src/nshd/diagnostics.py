@@ -28,7 +28,8 @@ from operator import attrgetter
 import numpy as np
 
 from .dynamics import SolverConfig, StepWorkspace, compute_pressure, gradient_grid
-from .spectral import SpectralVectorField, WavenumberLattice, coeffs_to_grid, live_width
+from .spectral import (SpectralVectorField, WavenumberLattice, coeffs_to_grid, live_width,
+                       max_abs)
 
 TAIL_FRACTION_THRESHOLD = 1e-6
 
@@ -178,7 +179,7 @@ def enstrophy_production(u: SpectralVectorField, work: StepWorkspace | None = No
 def max_velocity(u: SpectralVectorField) -> float:
     """max_i ||u_i||_inf, transformed from the columns `live_width` reads."""
     cols = live_width(u.coeffs, u.lattice.kept_width)
-    return float(np.max(np.abs(coeffs_to_grid(u.coeffs, u.lattice.n, width=cols))))
+    return max_abs(coeffs_to_grid(u.coeffs, u.lattice.n, width=cols))
 
 
 def sobolev_norm(u: SpectralVectorField, beta: float) -> float:

@@ -56,6 +56,7 @@ from .spectral import (
     grid_to_coeffs,
     leray_project_coeffs,
     live_width,
+    max_abs,
 )
 
 
@@ -148,10 +149,12 @@ class StepWorkspace:
     It holds the width-w dissipation symbol (None for a workspace that only
     serves records), the (n + n^2)-component batch the transforms to the
     grid consume, the real grid array of u.grad u (a record's products) and
-    four width-w stage buffers (RHS output, b + c, stage input,
-    accumulator).  The batch is N//2 + 1 wide, as the complex-to-real pass
-    reads, and zeroed once: each RHS call and record builds its first w
-    columns afresh, and the columns past w are zero whenever a step starts.
+    three width-w stage buffers (RHS output, b + c, stage input); with a
+    step's input and its result, which is the accumulator, a step holds
+    five kept-column arrays.  The batch is N//2 + 1 wide, as the
+    complex-to-real pass reads, and zeroed once: each RHS call and record
+    builds its first w columns afresh, and the columns past w are zero
+    whenever a step starts.
 
     It cuts the first wavenumber/grid axis into k = min(slabs, N) row slabs
     (the first N mod k one row longer), once; each of `self.slabs` holds
@@ -171,7 +174,7 @@ class StepWorkspace:
         self.symbol = None if symbol is None else np.ascontiguousarray(symbol[..., :w])
         self.batch = np.zeros((n + n * n,) + lattice.half_shape, dtype=np.complex128)
         self.conv = np.empty((n,) + lattice.shape)
-        self.stages = np.empty((4, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
+        self.stages = np.empty((3, n) + lattice.shape[:-1] + (w,), dtype=np.complex128)
         k = min(slabs, lattice.N)  # no empty slab, no idle thread
         self._pool = (ThreadPoolExecutor(max_workers=k - 1, thread_name_prefix="nshd-slab")
                       if k > 1 else None)
@@ -321,25 +324,30 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, rhs, work: StepWorkspace) -> np.n
     writes the nonlinear tendency at c into out and leaves c unchanged.  The
     stages run in place in `work.stages` with the operation order of
     e_full c + (dt/6) ((e_full a + 2 e_half (b + c)) + d), their arithmetic
-    on the workspace's row slabs.  `coeffs` is not written; the result is a
-    new array.  Exact when rhs == 0.
+    on the workspace's row slabs.  The result is a new array and the
+    accumulator: e_full a goes into it before RHS b, and the last kernel
+    forms e_full c in the b + c buffer, free by then, and adds the sum to
+    it.  At RHS c the input, the accumulator, b + c, the stage input and
+    the RHS output are all live, so five kept-column arrays is the floor
+    for this order while rhs leaves c unchanged.  `coeffs` is not
+    written.  Exact when rhs == 0.
     """
-    r, bc, u, acc = work.stages
+    r, bc, u = work.stages
     h = 0.5 * dt
     e_half, e_full = np.empty((2,) + work.symbol.shape)
     new = np.empty(coeffs.shape, dtype=np.complex128)
 
     # each kernel works on the rows s of one slab of every array, through views made once
-    def b_input(slab):  # e_half (coeffs + h a), and e_full a into the accumulator
+    def b_input(slab):  # e_half (coeffs + h a), and e_full a into the accumulator `new`
         s = slab.rows
-        c_s, a_s, u_s, acc_s = coeffs[:, s], r[:, s], u[:, s], acc[:, s]
+        c_s, a_s, u_s, new_s = coeffs[:, s], r[:, s], u[:, s], new[:, s]
         eh, ef = e_half[s], e_full[s]
         np.exp(-0.5 * dt * work.symbol[s], out=eh)
         np.multiply(eh, eh, out=ef)
         np.multiply(h, a_s, out=u_s)
         np.add(c_s, u_s, out=u_s)
         np.multiply(eh, u_s, out=u_s)
-        np.multiply(ef, a_s, out=acc_s)
+        np.multiply(ef, a_s, out=new_s)
 
     def c_input(slab):  # e_half coeffs + h b
         s = slab.rows
@@ -356,15 +364,15 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, rhs, work: StepWorkspace) -> np.n
         np.multiply(e_full[s], coeffs[:, s], out=u_s)
         np.add(u_s, c_s, out=u_s)
 
-    def combine(slab):
+    def combine(slab):  # the accumulator's sum, then e_full coeffs in the free b + c buffer
         s = slab.rows
-        bc_s, d_s, acc_s, new_s = bc[:, s], r[:, s], acc[:, s], new[:, s]
+        bc_s, d_s, new_s = bc[:, s], r[:, s], new[:, s]
         np.multiply(2.0 * e_half[s], bc_s, out=bc_s)
-        np.add(acc_s, bc_s, out=acc_s)
-        np.add(acc_s, d_s, out=acc_s)
-        np.multiply(dt / 6.0, acc_s, out=acc_s)
-        np.multiply(e_full[s], coeffs[:, s], out=new_s)
-        np.add(new_s, acc_s, out=new_s)
+        np.add(new_s, bc_s, out=new_s)
+        np.add(new_s, d_s, out=new_s)
+        np.multiply(dt / 6.0, new_s, out=new_s)
+        np.multiply(e_full[s], coeffs[:, s], out=bc_s)
+        np.add(bc_s, new_s, out=new_s)
 
     with np.errstate(over="ignore", invalid="ignore"):
         rhs(coeffs, r)  # a
@@ -411,7 +419,7 @@ def cfl_dt(u: SpectralVectorField, cfg: SolverConfig) -> float:
     """
     lat = u.lattice
     grid = coeffs_to_grid(u.coeffs, lat.n, width=live_width(u.coeffs, lat.kept_width))
-    vmax = float(np.max(np.abs(grid)))
+    vmax = max_abs(grid)
     if vmax == 0.0 or not np.isfinite(vmax):
         return cfg.dt_max
     return min(cfg.dt_max, cfg.cfl_safety * u.lattice.dx / vmax)

@@ -250,6 +250,15 @@ def live_width(coeffs: np.ndarray, w: int) -> int:
     return w if not coeffs[..., w:].any() else coeffs.shape[-1]
 
 
+def max_abs(values: np.ndarray) -> float:
+    """float(np.max(np.abs(values))) of a real array to the bit, without the |values| temporary.
+
+    The larger of max and -min (both NaN when either is), made +0.0 for a
+    zero array and a NaN without sign by the final abs.
+    """
+    return abs(max(float(values.max()), -float(values.min())))
+
+
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     """Hermitian completion of a k_n >= 0 half spectrum: the checkpoint file's layout.
 

@@ -397,24 +397,27 @@ def reference_if_rk4_step(coeffs, dt, symbol, rhs):
     return e_full * coeffs + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
 
 
-@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
-def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N):
+@pytest.mark.parametrize("n, N, slabs", [(2, 32, 1), (3, 16, 1), (2, 32, 2), (3, 16, 2)],
+                         ids=["2-32", "3-16", "2-32-two-slabs", "3-16-two-slabs"])
+def test_in_place_step_is_bit_identical_to_the_out_of_place_formula(n, N, slabs):
     # the workspace computes the kept columns of the half-width formula to
-    # the byte; the formula's remaining columns are exact zeros
+    # the byte, on one slab and on the slab views of two; the formula's
+    # remaining columns are exact zeros
     u = make_random_field(n=n, N=N, seed=43, band=(1, 5))
     lat = u.lattice
     cfg = SolverConfig(n=n, N=N, alpha=1.25, nu=0.3, t_end=1.0)
-    work = workspace_for(u, cfg)
-    w, half = work.width, u.coeffs
-    assert w == math.ceil(N / 3) < N // 2 + 1
-    coeffs = work.kept(u.coeffs)
-    rhs = nonlinear_rhs(coeffs, work, work.stages[0])
-    want_rhs = reference_rhs(lat, half)
-    assert rhs.tobytes() == np.ascontiguousarray(want_rhs[..., :w]).tobytes()
-    assert np.all(want_rhs[..., w:] == 0)
-    got = if_rk4_step(coeffs, 2e-3, lambda c, out: nonlinear_rhs(c, work, out), work)
-    want = reference_if_rk4_step(half, 2e-3, dissipation_symbol(lat, cfg.alpha, cfg.nu),
-                                 lambda c: reference_rhs(lat, c))
+    symbol = dissipation_symbol(lat, cfg.alpha, cfg.nu)
+    with StepWorkspace(lat, symbol, slabs=slabs) as work:
+        w, half = work.width, u.coeffs
+        assert w == math.ceil(N / 3) < N // 2 + 1
+        assert len(work.slabs) == slabs
+        coeffs = work.kept(u.coeffs)
+        rhs = nonlinear_rhs(coeffs, work, work.stages[0])
+        want_rhs = reference_rhs(lat, half)
+        assert rhs.tobytes() == np.ascontiguousarray(want_rhs[..., :w]).tobytes()
+        assert np.all(want_rhs[..., w:] == 0)
+        got = if_rk4_step(coeffs, 2e-3, lambda c, out: nonlinear_rhs(c, work, out), work)
+    want = reference_if_rk4_step(half, 2e-3, symbol, lambda c: reference_rhs(lat, c))
     assert got.tobytes() == np.ascontiguousarray(want[..., :w]).tobytes()
     assert np.all(want[..., w:] == 0)
 
@@ -584,6 +587,34 @@ def test_warm_step_allocates_at_most_three_transform_batches(n, N):
     assert peak - live <= 3 * (n + n * n) * N**n * 8
 
 
+def test_workspace_and_warm_step_hold_five_kept_column_arrays():
+    # IF-RK4's floor for its operation order: at RHS c the input, the
+    # accumulator (the result array), b + c, the stage input and the RHS
+    # output are live.  Beside them: the batch, the grid array, the symbol
+    # with e_half and e_full, and the batch's inverse transform
+    n, N = 3, 32
+    u = make_random_field(n=n, N=N, seed=46, band=(1, 4))
+    cfg = SolverConfig(n=n, N=N, alpha=1.0, t_end=1.0)
+    state = step(SolverState(u=u), 1e-3, workspace_for(u, cfg))  # warms the lattice and plans
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        work = workspace_for(u, cfg)
+        step(state, 1e-3, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = work.stages[0].nbytes
+    grid = (n + n * n) * N**n * 8
+    budget = 5 * kept + work.batch.nbytes + work.conv.nbytes + grid + 3 * work.symbol.nbytes
+    # Python objects take a few kB; a sixth kept-column array (528 KiB) is over
+    assert peak - live <= budget + 2**16, (peak - live - budget) / kept
+
+
 def test_timestep_convergence_is_fourth_order():
     # halving dt cuts the error ~16x on a fixed smooth problem
     u0 = make_random_field(seed=33, N=32, band=(1, 4), amplitude=4.0)
@@ -626,6 +657,20 @@ def test_cfl_formula():
     c128[0][-1, 0] = 0.5
     u128 = SpectralVectorField(lat128, c128)
     assert cfl_dt(u128, cfg128) == pytest.approx(cfl_dt(u, cfg) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cfl_and_max_velocity_read_the_max_of_abs_grid(n):
+    # zero, random and non-finite fields: the grid's max of abs to the bit,
+    # and dt_max where it is zero or not finite
+    cfg = SolverConfig(n=n, N=16, alpha=1.0, t_end=1.0, dt_max=10.0)
+    u = make_random_field(n=n, N=16, seed=57, band=(1, 4))
+    for coeffs in (u.coeffs, 0.0 * u.coeffs, u.coeffs * np.nan):
+        field = u.with_coeffs(coeffs)
+        want = float(np.max(np.abs(coeffs_to_grid(coeffs, n))))
+        assert np.float64(diagnostics.max_velocity(field)).tobytes() == np.float64(want).tobytes()
+        dt = 10.0 if want == 0.0 or not np.isfinite(want) else 0.5 * field.lattice.dx / want
+        assert cfl_dt(field, cfg) == min(10.0, dt)
 
 
 # -- advance ------------------------------------------------------------------------

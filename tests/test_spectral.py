@@ -17,6 +17,7 @@ from nshd.spectral import (
     grid_to_coeffs,
     hermitian_defect,
     leray_project,
+    max_abs,
     spectral_derivative,
     vorticity,
 )
@@ -223,6 +224,31 @@ def test_transforms_on_the_kept_columns_equal_the_full_width_ones(n, N, workers)
         rfftn = scipy.fft.rfftn(x, axes=tuple(range(1, n + 1)), norm="forward")
     assert_same_bytes(full, rfftn)
     assert_same_bytes(np.ascontiguousarray(kept), np.ascontiguousarray(full[..., :w]))
+
+
+_INF = np.array([np.inf, -np.inf])
+MAX_ABS_CASES = {
+    "zero": np.zeros((2, 4, 4)),
+    "negative zero": -np.zeros((2, 4, 4)),
+    "signed zeros": np.array([0.0, -0.0, -0.0]),
+    "negative largest": np.array([-3.0, 1.0, 2.5]),
+    "positive largest": np.array([-2.0, 1.0, 2.5]),
+    "subnormal": np.array([-5e-324, 0.0]),
+    "nan": np.array([1.0, np.nan, -2.0]),
+    "negative nan": np.array([1.0, -np.nan, -2.0]),
+    "nan of inf - inf": np.array([1.0, np.subtract(*_INF)]),
+    "+inf": np.array([1.0, np.inf, -2.0]),
+    "-inf": np.array([1.0, -np.inf, -2.0]),
+    "both infs": np.array([-np.inf, 0.0, np.inf]),
+    "random grid": np.random.default_rng(61).standard_normal((3, 8, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("values", MAX_ABS_CASES.values(), ids=MAX_ABS_CASES.keys())
+def test_max_abs_is_the_max_of_abs_to_the_bit(values):
+    # +0.0 for a zero array, a NaN without sign, +inf for either infinity
+    want = float(np.max(np.abs(values)))
+    assert np.float64(max_abs(values)).tobytes() == np.float64(want).tobytes()
 
 
 # -- half-spectrum layout ---------------------------------------------------------
