@@ -70,7 +70,8 @@ def write_checkpoint(path, u: SpectralVectorField, alpha: float, nu: float,
     lat = u.lattice
     header = _HEADER.pack(MAGIC, VERSION, lat.n, lat.N, float(alpha), float(nu),
                           float(u.time), int(seed))
-    body = full_spectrum(u.coeffs, lat.n).astype("<c16", copy=False).tobytes()
+    # the completed spectrum's own bytes, through the buffer protocol: no copy
+    body = memoryview(full_spectrum(u.coeffs, lat.n).astype("<c16", copy=False)).cast("B")
     with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)

@@ -389,26 +389,42 @@ def if_rk4_step(coeffs: np.ndarray, dt: float, rhs, work: StepWorkspace) -> np.n
 def step(state: SolverState, dt: float, work: StepWorkspace) -> SolverState:
     """Advance one IF-RK4 step of size dt on `work`; raises Diverged on non-finite output.
 
-    The state is cut to the workspace's kept columns (`StepWorkspace.kept`,
-    which raises ValueError rather than drop a nonzero mode), stepped with
-    the mask of `work.lattice` and the symbol `work.symbol` (verify builds
-    its faults into these), cleaned into the kept columns of a zeroed half
-    and checked.  All pointwise work runs on the workspace's row slabs.
-    The result is a new state on the state's lattice, outside the workspace.
+    The composition of the step's two parts: the state's kept columns are
+    copied (`StepWorkspace.kept`, which raises ValueError rather than drop
+    a nonzero mode), the state is dropped, and `step_kept` steps the copy.
+    A caller that passes the state as a temporary, as `advance` does, so
+    holds no stepped-from half while the RHS runs: CPython 3.11+ moves a
+    Python-to-Python call's arguments into the callee's frame.
+    """
+    kept = work.kept(state.u.coeffs)
+    lattice, t, step_count = state.u.lattice, state.t, state.step_count
+    del state
+    return step_kept(kept, lattice, t, step_count, dt, work)
+
+
+def step_kept(kept: np.ndarray, lattice: WavenumberLattice, t: float, step_count: int,
+              dt: float, work: StepWorkspace) -> SolverState:
+    """One IF-RK4 step of size dt of the kept columns `kept` of a state at
+    time t after step_count steps; raises Diverged on non-finite output.
+
+    The columns are stepped with the mask of `work.lattice` and the symbol
+    `work.symbol` (verify builds its faults into these), cleaned into the
+    kept columns of a zeroed half and checked.  All pointwise work runs on
+    the workspace's row slabs.  The result is a new state on `lattice`,
+    outside the workspace.  `kept` is not written.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     rhs = lambda c, out: nonlinear_rhs(c, work, out)
-    new = if_rk4_step(work.kept(state.u.coeffs), dt, rhs, work)
-    half = np.zeros(state.u.coeffs.shape, dtype=np.complex128)
-    kept = half[..., : work.width]
+    new = if_rk4_step(kept, dt, rhs, work)
+    half = np.zeros((lattice.n,) + lattice.half_shape, dtype=np.complex128)
+    cleaned = half[..., : work.width]
     # divergence cleanup: cheap, stops projection drift from accumulating
-    work.each(lambda s: _clean(s, new[:, s.rows], kept[:, s.rows]))
-    t_new = state.t + dt
-    if not np.all(np.isfinite(kept)):
-        raise Diverged(t_new, state.step_count + 1)
-    return SolverState(u=state.u.with_coeffs(half, time=t_new),
-                       step_count=state.step_count + 1)
+    work.each(lambda s: _clean(s, new[:, s.rows], cleaned[:, s.rows]))
+    t_new = t + dt
+    if not np.all(np.isfinite(cleaned)):
+        raise Diverged(t_new, step_count + 1)
+    return SolverState(u=SpectralVectorField(lattice, half, t_new), step_count=step_count + 1)
 
 
 def cfl_dt(u: SpectralVectorField, cfg: SolverConfig) -> float:
@@ -433,6 +449,12 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
     cleanly instead of raising.  The steps run in as many row slabs as
     `scipy.fft` has workers when the call starts, on the threads of a
     `StepWorkspace` that shuts them down before the call returns or raises.
+
+    Each step is handed advance's only reference to the state it steps
+    from, which `step` drops once it has copied the kept columns, so no
+    half of advance's is live while an RHS runs; nor is the initial field,
+    if the caller passes the initial state as a temporary, as
+    `harness.run_config` does.
     """
     from .diagnostics import compute_diagnostics  # cycle: diagnostics reads cfg
 
@@ -448,13 +470,14 @@ def advance(state: SolverState, cfg: SolverConfig, sink=None) -> SolverState:
         eps = 1e-14 * max(1.0, cfg.t_end)
         while state.t < cfg.t_end - eps:
             dt = min(cfl_dt(state.u, cfg), cfg.t_end - state.t)
+            handed = [state]
+            del state  # step(handed.pop(), ...) gets the only reference
             try:
-                state = step(state, dt, work)
-            except Diverged:
-                state = SolverState(
-                    u=state.u.with_coeffs(state.u.coeffs * np.nan, time=state.t + dt),
-                    step_count=state.step_count + 1,
-                )
+                state = step(handed.pop(), dt, work)
+            except Diverged as exc:
+                # nan+nanj in every mode: the bytes of the stepped-from coeffs * nan
+                nan = np.full((lat.n,) + lat.half_shape, complex(math.nan, math.nan))
+                state = SolverState(u=SpectralVectorField(lat, nan, exc.t), step_count=exc.step)
                 emit(state, dt)
                 return state
             final = abs(state.t - cfg.t_end) <= eps

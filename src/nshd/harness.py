@@ -207,16 +207,17 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
 
     The run steps with `fft_workers` scipy.fft workers; by default the thread
     budget on lattices of FFT_THREAD_POINTS[n] points or more (3D N >= 32,
-    2D N >= 256), else 1.
+    2D N >= 256), else 1.  The initial field is built before any artifact is
+    opened and kept under no name across `advance`, which drops it at its
+    first step, so no RHS of the run runs while it is live.
     """
     cfg = config.solver
     if fft_workers is None:
         fft_workers = _fft_workers(cfg, thread_budget())
     _prepare_out_dir(out_dir)
     started = _now()
-    lattice = cfg.make_lattice()
-    u0 = build_initial_field(lattice, config.initial_condition)
-    state = SolverState(u=u0)
+    # built before any artifact is opened, and handed to advance as its only reference
+    initial = [SolverState(u=build_initial_field(cfg.make_lattice(), config.initial_condition))]
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     records = []
@@ -228,7 +229,7 @@ def run_config(config: RunConfig, out_dir, *, fft_workers: int | None = None) ->
             records.append(record)
             fh.write(csv_row(record, cfg) + "\n")
 
-        final = advance(state, cfg, sink)
+        final = advance(initial.pop(), cfg, sink)
 
     checkpoint_path = os.path.join(out_dir, "final_checkpoint.nshd")
     seed = config.initial_condition.seed if config.initial_condition.kind == "random_band" else 0

@@ -1,5 +1,6 @@
 import errno
 import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import hypothesis
@@ -56,6 +57,23 @@ def rhs_half(u):
 def workspace_for(u, cfg):
     """A one-slab step workspace on u's lattice with cfg's dissipation symbol."""
     return StepWorkspace(u.lattice, dissipation_symbol(u.lattice, cfg.alpha, cfg.nu))
+
+
+def peak_above_live(fn):
+    """(fn(), the tracemalloc peak during the call less the memory live when
+    it starts), tracing only for the call unless tracemalloc already runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - live
 
 
 def half_of(coeffs):

@@ -1,7 +1,6 @@
 """Right-hand side assembly, pressure, integrating-factor stepping, advance."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from nshd.dynamics import (
     nonlinear_rhs,
     step,
 )
-from nshd.initial_conditions import taylor_green
+from nshd.initial_conditions import InitialConditionSpec, random_band_limited, taylor_green
 from nshd.scaling import apply_discrete_rescale
 from nshd.spectral import (
     SpectralVectorField,
@@ -45,6 +44,7 @@ from conftest import (
     half_of,
     make_random_field,
     mean_mode,
+    peak_above_live,
     rhs_half,
     rhs_workspace,
     velocity_gradient_grid,
@@ -522,19 +522,7 @@ def test_a_record_allocates_no_more_than_a_rhs(n, N):
             "record": lambda: compute_diagnostics(u, cfg, work=work)}
     for run in runs.values():  # the first calls touch the workspace
         run()
-    peaks = {}
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        for name, run in runs.items():
-            tracemalloc.reset_peak()
-            live, _ = tracemalloc.get_traced_memory()
-            run()
-            peaks[name] = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peaks = {name: peak_above_live(run)[1] for name, run in runs.items()}
     assert 0 < peaks["record"] <= peaks["rhs"], peaks
 
 
@@ -573,46 +561,57 @@ def test_warm_step_allocates_at_most_three_transform_batches(n, N):
     cfg = SolverConfig(n=n, N=N, alpha=1.0, t_end=1.0)
     work = workspace_for(u, cfg)
     state = step(SolverState(u=u), 1e-3, work)  # the first step touches the workspace
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live, _ = tracemalloc.get_traced_memory()
-        step(state, 1e-3, work)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak - live <= 3 * (n + n * n) * N**n * 8
+    _, extra = peak_above_live(lambda: step(state, 1e-3, work))
+    assert extra <= 3 * (n + n * n) * N**n * 8
+
+
+def step_floor(work):
+    """IF-RK4's floor for its operation order, in bytes: at RHS c the input,
+    the accumulator (the result array), b + c, the stage input and the RHS
+    output are live.  Beside them: the batch, the grid array, the symbol
+    with e_half and e_full, and the batch's inverse transform."""
+    n, N = work.lattice.n, work.lattice.N
+    grid = (n + n * n) * N**n * 8
+    return (5 * work.stages[0].nbytes + work.batch.nbytes + work.conv.nbytes + grid
+            + 3 * work.symbol.nbytes)
 
 
 def test_workspace_and_warm_step_hold_five_kept_column_arrays():
-    # IF-RK4's floor for its operation order: at RHS c the input, the
-    # accumulator (the result array), b + c, the stage input and the RHS
-    # output are live.  Beside them: the batch, the grid array, the symbol
-    # with e_half and e_full, and the batch's inverse transform
     n, N = 3, 32
     u = make_random_field(n=n, N=N, seed=46, band=(1, 4))
     cfg = SolverConfig(n=n, N=N, alpha=1.0, t_end=1.0)
     state = step(SolverState(u=u), 1e-3, workspace_for(u, cfg))  # warms the lattice and plans
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live, _ = tracemalloc.get_traced_memory()
+
+    def build_and_step():
         work = workspace_for(u, cfg)
         step(state, 1e-3, work)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+        return work
+
+    work, extra = peak_above_live(build_and_step)
     kept = work.stages[0].nbytes
-    grid = (n + n * n) * N**n * 8
-    budget = 5 * kept + work.batch.nbytes + work.conv.nbytes + grid + 3 * work.symbol.nbytes
     # Python objects take a few kB; a sixth kept-column array (528 KiB) is over
-    assert peak - live <= budget + 2**16, (peak - live - budget) / kept
+    assert extra <= step_floor(work) + 2**16, (extra - step_floor(work)) / kept
+
+
+def test_advance_holds_no_half_beyond_its_steps_floor():
+    # a caller that builds the initial field and holds it through the run:
+    # one half, and nothing else above the step's floor, since each step
+    # drops the half it steps from once its kept columns are copied
+    n, N = 3, 32
+    lat = build_lattice(n, N)
+    spec = InitialConditionSpec("random_band", amplitude=1.0, seed=46, band=(1, 4))
+    cfg = SolverConfig(n=n, N=N, alpha=1.25, t_end=4 * 2**-10, dt_max=2**-10, diag_stride=2)
+    advance(SolverState(u=random_band_limited(lat, spec)), cfg)  # warms the lattice and plans
+
+    def run():
+        u0 = random_band_limited(lat, spec)
+        return u0, advance(SolverState(u=u0), cfg)
+
+    (u0, final), extra = peak_above_live(run)
+    assert final.step_count == 4
+    floor = step_floor(workspace_for(u0, cfg))
+    # a stepped-from half (816 KiB) held through the RHS is over
+    assert extra <= floor + 2**16 + u0.coeffs.nbytes, (extra - floor) / u0.coeffs.nbytes
 
 
 def test_timestep_convergence_is_fourth_order():
@@ -730,7 +729,9 @@ def test_advance_diverged_flags_and_stops():
     final = advance(SolverState(u=u0.with_coeffs(bad)), cfg, records.append)
     assert records[-1].flags == ("diverged",)
     assert final.t < 1.0
-    assert not np.all(np.isfinite(final.u.coeffs))
+    # nan+nanj in every mode, the bytes of the stepped-from coeffs * nan
+    assert final.u.coeffs.tobytes() == (u0.coeffs * np.nan).tobytes()
+    assert final.u.lattice is u0.lattice and final.step_count == 1
 
 
 def test_energy_balance_budget():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from nshd import checkpoint, dynamics, harness, verify
 from nshd.checkpoint import read_checkpoint
 from nshd.cli import main
 from nshd.config import ConfigError, load_config, parse_config
+from nshd.initial_conditions import EmptyBand
 from nshd.harness import (
     SweepRow,
     SweepSummary,
@@ -160,6 +162,49 @@ def test_failed_run_keeps_the_previous_diagnostics_csv(tmp_path, monkeypatch):
         run_config(config, out)
     assert (out / "diagnostics.csv").read_bytes() == before
     assert not list(out.glob("*.tmp"))
+
+
+def test_a_run_holds_no_initial_field_or_stepped_from_half_while_its_rhs_runs(
+        tmp_path, monkeypatch):
+    # weak references to the initial field's coefficients and to the half
+    # of every state a step starts from (each passes through cfl_dt first)
+    # must all be dead whenever an RHS runs
+    halves, live = [], []
+    build, cfl, rhs = harness.build_initial_field, dynamics.cfl_dt, dynamics.nonlinear_rhs
+
+    def built(lattice, spec):
+        u = build(lattice, spec)
+        halves.append(weakref.ref(u.coeffs))
+        return u
+
+    def stepped_from(u, cfg):
+        halves.append(weakref.ref(u.coeffs))
+        return cfl(u, cfg)
+
+    def rhs_alone(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in halves))
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_initial_field", built)
+    monkeypatch.setattr(dynamics, "cfl_dt", stepped_from)
+    monkeypatch.setattr(dynamics, "nonlinear_rhs", rhs_alone)
+    ic = {"kind": "random_band", "seed": 3, "band": [1, 4]}
+    path = make_config(tmp_path, initial_condition=ic,
+                       **{"solver.t_end": 6 * 2**-8, "solver.dt_max": 2**-8})
+    record = run_config(load_config(path), tmp_path / "out")
+    assert record.final_step == 6 and len(halves) == 7
+    assert live == [0] * 24
+
+
+def test_an_initial_field_that_cannot_be_built_opens_no_artifact(tmp_path, monkeypatch):
+    def unbuildable(lattice, spec):
+        raise EmptyBand("no modes")
+
+    monkeypatch.setattr(harness, "build_initial_field", unbuildable)
+    out = tmp_path / "out"
+    with pytest.raises(EmptyBand):
+        run_config(load_config(make_config(tmp_path)), out)
+    assert list(out.iterdir()) == []
 
 
 def test_run_determinism_bit_exact(tmp_path):

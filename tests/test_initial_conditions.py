@@ -1,6 +1,5 @@
 """Taylor-Green and seeded random band-limited field construction."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +23,7 @@ from nshd.spectral import (
     hermitian_defect,
 )
 
-from conftest import full_lattice_random_band, grid_coords, mean_mode
+from conftest import full_lattice_random_band, grid_coords, mean_mode, peak_above_live
 
 
 def test_taylor_green_2d_energy():
@@ -196,10 +195,5 @@ def test_random_band_peak_memory_stays_below_two_full_spectra():
     # the full-lattice build peaked at 3.1 full spectra (n N^n complex numbers)
     lat = build_lattice(3, 32)
     spec = InitialConditionSpec("random_band", seed=9, band=(1, 10))
-    tracemalloc.start()
-    try:
-        random_band_limited(lat, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_above_live(lambda: random_band_limited(lat, spec))
     assert peak < 2 * (3 * 32**3 * 16)
